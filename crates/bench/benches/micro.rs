@@ -14,7 +14,9 @@
 
 use primo_repro::recovery::apply_replay;
 use primo_repro::storage::{InsertSlot, LockMode, LockPolicy, PartitionStore, Record, Table};
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal, ReplayBound, ReplicatedLog};
+use primo_repro::wal::{
+    LogEntry, LogPayload, LoggedWrite, PartitionWal, ReplayBound, ReplicatedLog,
+};
 use primo_repro::{
     ClosureProgram, FastRng, PartitionId, Primo, ProtocolKind, TableId, TxnId, Value, ZipfGen,
 };
@@ -205,10 +207,11 @@ fn bench_contended_append() {
 }
 
 /// Stage 2 of the append pipeline in isolation: delivering 64 sequenced
-/// entries to one follower replica as a single batch
-/// ([`PartitionWal::append_entries`], one lock acquisition) vs. the old
-/// per-entry fan-out (64 acquisitions). Both passes pay for a fresh target
-/// replica, so the difference is pure delivery cost.
+/// entries to one follower replica as one shared segment
+/// ([`PartitionWal::receive_segment`]) plus the read that folds it into the
+/// replica's storage, vs. the old per-entry fan-out (64 acquisitions). Both
+/// passes pay for a fresh target replica, so the difference is pure
+/// delivery cost.
 fn bench_fanout_batching() {
     const BATCH: u64 = 64;
     let source = PartitionWal::new(PartitionId(0), 500);
@@ -219,11 +222,13 @@ fn bench_fanout_batching() {
             writes: vec![LoggedWrite::put(TableId(0), seq, Value::from_u64(seq))],
         });
     }
-    let batch = source.entries_from(0);
+    let batch = source.view(Some(u64::MAX)).entries().to_vec();
+    let segment: Arc<[LogEntry]> = batch.clone().into();
     bench("wal/fanout_64_batched", || {
         let target = PartitionWal::new(PartitionId(0), 500);
-        target.append_entries(&batch);
-        std::hint::black_box(target.end_lsn());
+        target.receive_segment(Arc::clone(&segment));
+        // `len` folds the pending segment: the read every replica pays.
+        std::hint::black_box(target.len());
     });
     bench("wal/fanout_64_per_entry", || {
         let target = PartitionWal::new(PartitionId(0), 500);
@@ -236,8 +241,8 @@ fn bench_fanout_batching() {
 
 fn bench_wal_durable_boundary() {
     // Satellite of the replicated-WAL refactor: the durable-boundary
-    // lookups (`durable_lsn`, `latest_durable_watermark_at`,
-    // `latest_durable_checkpoint`) used to reverse-scan the log — O(n) per
+    // lookups (`durable_lsn`, and the durable view every watermark or
+    // checkpoint lookup reads) used to reverse-scan the log — O(n) per
     // call on the volatile suffix, and the quorum computation calls
     // `durable_lsn` once per replica per query. `appended_at_us` is
     // monotone per log, so the boundary is now a `partition_point` binary
@@ -264,7 +269,7 @@ fn bench_wal_durable_boundary() {
     bench("wal/durable_lsn_100k_partition_point", || {
         std::hint::black_box(wal.durable_lsn());
     });
-    let entries = wal.entries_from(0);
+    let entries = wal.view(Some(u64::MAX)).entries().to_vec();
     let delay = wal.persist_delay_us();
     bench("wal/durable_lsn_100k_naive_rev_scan", || {
         let now = now_us();
@@ -277,7 +282,11 @@ fn bench_wal_durable_boundary() {
         );
     });
     bench("wal/latest_durable_watermark_100k", || {
-        std::hint::black_box(wal.latest_durable_watermark());
+        let view = wal.view(wal.durable_lsn());
+        std::hint::black_box(view.rfind_map(|e| match *e.payload {
+            LogPayload::Watermark { wp } => Some(wp),
+            _ => None,
+        }));
     });
 }
 
@@ -341,9 +350,14 @@ fn bench_checkpoint_and_replay() {
     let wal = ReplicatedLog::single(PartitionId(0), 0);
     fill(&wal);
     bench("recovery/replay_collect_10k_txns", || {
-        std::hint::black_box(wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None));
+        std::hint::black_box(
+            wal.durable_view(None)
+                .replay(.., &ReplayBound::Ts(u64::MAX)),
+        );
     });
-    let txns = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+    let txns = wal
+        .durable_view(None)
+        .replay(.., &ReplayBound::Ts(u64::MAX));
     bench("recovery/replay_apply_10k_txns", || {
         let store = PartitionStore::new(PartitionId(0));
         apply_replay(&store, &txns);

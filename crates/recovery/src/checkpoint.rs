@@ -74,14 +74,29 @@ impl Checkpointer {
         wal: &ReplicatedLog,
         gc: &dyn GroupCommit,
     ) -> Option<CheckpointStats> {
-        let (_, prev) = wal.latest_checkpoint()?;
+        // Every marker in the log counts, durable or not: the image only
+        // becomes authoritative (truncation drops what it covers) once its
+        // own checkpoint entry, appended after all of them, is durable.
+        let (prev, marked) = {
+            let full = wal.full_view();
+            let prev = full.rfind_map(|e| match e.payload.as_ref() {
+                LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
+                _ => None,
+            })?;
+            (prev, full.rolled_back())
+        };
         let bound = gc.checkpoint_bound(partition, wal);
-        let new_base = wal.fold_stop_lsn(prev.base_lsn, &bound);
-
-        let folded = if new_base > prev.base_lsn {
-            wal.replay_range(prev.base_lsn, &bound, Some(new_base - 1))
-        } else {
-            Vec::new()
+        // Fold the quorum-durable covered prefix. The stop LSN walks past
+        // write-sets cancelled inside the view; the fold skips those and
+        // every write-set whose marker is still on its way to the quorum,
+        // so a rolled-back write-set never reaches the image.
+        let (new_base, folded) = {
+            let view = wal.durable_view(None);
+            let stop = view.fold_stop(prev.base_lsn, &bound);
+            let folded = view.write_sets(prev.base_lsn..stop, |txn, ts, e| {
+                !marked.contains(&txn) && view.covers(&bound, ts, e)
+            });
+            (stop, folded)
         };
         let mut image = CheckpointImage {
             up_to_ts: prev.up_to_ts,
@@ -168,6 +183,15 @@ mod tests {
         vec![LoggedWrite::put(TableId(0), key, Value::from_u64(v))]
     }
 
+    fn latest_image(wal: &ReplicatedLog) -> Arc<CheckpointImage> {
+        wal.full_view()
+            .rfind_map(|e| match e.payload.as_ref() {
+                LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
+                _ => None,
+            })
+            .expect("a checkpoint exists")
+    }
+
     #[test]
     fn initial_checkpoint_captures_only_visible_records() {
         let store = PartitionStore::new(PartitionId(0));
@@ -178,7 +202,7 @@ mod tests {
         let wal = ReplicatedLog::single(PartitionId(0), 0);
         let stats = Checkpointer::initial(&store, &wal);
         assert_eq!(stats.image_records, 1);
-        let image = wal.latest_checkpoint().unwrap().1;
+        let image = latest_image(&wal);
         assert!(image.records.contains_key(&(TableId(0), 1)));
         assert!(!image.records.contains_key(&(TableId(0), 2)));
     }
@@ -203,7 +227,7 @@ mod tests {
         assert_eq!(stats.folded_txns, 2);
         assert_eq!(stats.image_records, 3);
         assert!(stats.truncated_entries > 0, "durable checkpoint truncates");
-        let image = wal.latest_checkpoint().unwrap().1;
+        let image = latest_image(&wal);
         assert!(image.records.contains_key(&(TableId(0), 101)));
         assert!(image.records.contains_key(&(TableId(0), 102)));
         assert!(
@@ -211,7 +235,9 @@ mod tests {
             "uncovered entry must stay in the log, not the image"
         );
         // The uncovered entry is still replayable from the image's base.
-        let rest = wal.replay_range(image.base_lsn, &ReplayBound::Ts(u64::MAX), None);
+        let rest = wal
+            .durable_view(None)
+            .replay(image.base_lsn.., &ReplayBound::Ts(u64::MAX));
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].1, 50);
     }
@@ -236,5 +262,117 @@ mod tests {
         let gc = FixedBound(ReplayBound::Ts(u64::MAX));
         let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).unwrap();
         assert_eq!(stats.folded_txns, 0, "volatile entries never fold");
+    }
+
+    #[test]
+    fn fold_never_resurrects_a_compensated_write_set() {
+        // E (ts 5) is covered by the bound but was compensated on this
+        // partition after a crash elsewhere: its marker sits *behind* the
+        // uncovered F (ts 50) where the fold stops. The fold walks past E
+        // as cancelled, so the replay that builds the image must count the
+        // same marker — otherwise E lands in the image, truncation drops E
+        // (its marker survives, cancelling nothing) and a later crash
+        // restores the rolled-back write.
+        let store = PartitionStore::new(PartitionId(0));
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
+        Checkpointer::initial(&store, &wal);
+        let e = TxnId::new(PartitionId(0), 1);
+        wal.append(LogPayload::TxnWrites {
+            txn: e,
+            ts: 5,
+            writes: put(101, 5),
+        });
+        wal.append(LogPayload::TxnWrites {
+            txn: TxnId::new(PartitionId(0), 2),
+            ts: 50,
+            writes: put(102, 50),
+        });
+        wal.append(LogPayload::TxnRolledBack { txn: e });
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let gc = FixedBound(ReplayBound::Ts(10));
+        let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
+        assert_eq!(
+            stats.folded_txns, 0,
+            "the compensated write-set is not folded"
+        );
+        let image = latest_image(&wal);
+        assert!(
+            !image.records.contains_key(&(TableId(0), 101)),
+            "a compensated write-set must never reach the image"
+        );
+        // Whatever truncation kept, replaying from the image's base
+        // reproduces F and never E.
+        let rest = wal
+            .durable_view(None)
+            .replay(image.base_lsn.., &ReplayBound::Ts(u64::MAX));
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].1, 50);
+    }
+
+    #[test]
+    fn tick_through_a_slow_leader_folds_the_quorum_acked_write_set() {
+        // The leader's own disk takes 500 ms; the two remotes acknowledge in
+        // 50 us. The fold reads the quorum horizon like every other durable
+        // read, not the leader's local persist delay.
+        let wal = ReplicatedLog::new(
+            PartitionId(0),
+            primo_common::config::WalConfig {
+                persist_delay_us: 500_000,
+                replication_factor: 3,
+                replica_persist_delay_us: Some(50),
+                ..Default::default()
+            },
+            0,
+            None,
+        );
+        let store = PartitionStore::new(PartitionId(0));
+        Checkpointer::initial(&store, &wal);
+        wal.append(LogPayload::TxnWrites {
+            txn: TxnId::new(PartitionId(0), 1),
+            ts: 5,
+            writes: put(101, 5),
+        });
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let gc = FixedBound(ReplayBound::Ts(10));
+        let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
+        assert_eq!(stats.folded_txns, 1, "the quorum-acked write-set folds");
+        assert!(latest_image(&wal).records.contains_key(&(TableId(0), 101)));
+    }
+
+    #[test]
+    fn fold_skips_a_write_set_whose_marker_is_not_yet_durable() {
+        // E is quorum-durable and covered; compensation's marker for it is
+        // still inside its persist window when the checkpoint ticks. The
+        // marker is outside the fold's quorum view, yet the image must not
+        // take E: once that image is durable, truncation drops E while the
+        // marker cancels nothing.
+        let store = PartitionStore::new(PartitionId(0));
+        let wal = ReplicatedLog::single(PartitionId(0), 30_000); // 30 ms persist
+        Checkpointer::initial(&store, &wal);
+        let e = TxnId::new(PartitionId(0), 1);
+        wal.append(LogPayload::TxnWrites {
+            txn: e,
+            ts: 5,
+            writes: put(101, 5),
+        });
+        std::thread::sleep(std::time::Duration::from_millis(40));
+        wal.append(LogPayload::TxnRolledBack { txn: e });
+        let gc = FixedBound(ReplayBound::Ts(10));
+        let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
+        assert_eq!(stats.folded_txns, 0, "the in-flight marker cancels E");
+        assert!(!latest_image(&wal).records.contains_key(&(TableId(0), 101)));
+        // Once everything is durable, the next tick folds on from the first
+        // image and truncates E — still without it in any image.
+        std::thread::sleep(std::time::Duration::from_millis(40));
+        Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
+        std::thread::sleep(std::time::Duration::from_millis(40));
+        Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
+        assert!(!latest_image(&wal).records.contains_key(&(TableId(0), 101)));
+        assert!(
+            wal.full_view()
+                .replay(.., &ReplayBound::Ts(u64::MAX))
+                .is_empty(),
+            "E was truncated; nothing can bring it back"
+        );
     }
 }

@@ -36,7 +36,7 @@
 use primo_common::{PartitionId, TxnId};
 use primo_storage::{LifecycleState, LockMode, LockPolicy, LockRequestResult, PartitionStore};
 use primo_trace::{FlightRecorder, TraceEventKind};
-use primo_wal::{GroupCommit, LogPayload, ReplayBound, ReplicatedLog};
+use primo_wal::{GroupCommit, LogPayload, ReplayBound, ReplayedTxn, ReplicatedLog};
 
 /// What one compensation pass over one surviving partition did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,9 +70,27 @@ pub fn compensate_partition(
     undo_rolled_back(
         store,
         wal,
-        wal.collect_rolled_back(bound, upper_cutoff),
+        rolled_back_write_sets(wal, bound, upper_cutoff),
         None,
     )
+}
+
+/// The write-sets `bound` does **not** cover and no rollback marker cancels
+/// yet: the transactions a crash just rolled back on this *surviving*
+/// partition. Read from the full view — this partition did not crash, so
+/// nothing in its log is lost. Entries at or past `upper_cutoff` belong to
+/// transactions that committed after the crash agreement and are left
+/// alone. Sorted and deduplicated exactly like replay, so undoing the result
+/// in reverse restores the pre-transaction state.
+fn rolled_back_write_sets(
+    wal: &ReplicatedLog,
+    bound: &ReplayBound,
+    upper_cutoff: Option<u64>,
+) -> Vec<ReplayedTxn> {
+    let view = wal.full_view();
+    view.write_sets(..upper_cutoff.unwrap_or(u64::MAX), |_, ts, e| {
+        !view.covers(bound, ts, e)
+    })
 }
 
 /// The undo half of [`compensate_partition`]: restore before-images, unlink
@@ -81,7 +99,7 @@ pub fn compensate_partition(
 fn undo_rolled_back(
     store: &PartitionStore,
     wal: &ReplicatedLog,
-    mut doomed: Vec<primo_wal::ReplayedTxn>,
+    mut doomed: Vec<ReplayedTxn>,
     recorder: Option<&FlightRecorder>,
 ) -> CompensationReport {
     if doomed.is_empty() {
@@ -207,7 +225,7 @@ pub fn compensate_survivors<'a>(
     for (_, store, wal) in partitions {
         let cutoff = wal.end_lsn();
         let bound = gc.survivor_rollback_bound(crash_token, wal);
-        let doomed = wal.collect_rolled_back(&bound, Some(cutoff));
+        let doomed = rolled_back_write_sets(wal, &bound, Some(cutoff));
         if doomed.is_empty() {
             continue;
         }
@@ -248,7 +266,8 @@ mod tests {
         assert_eq!(report.undone_writes, 1);
         assert_eq!(store.get(TableId(0), 1).unwrap().read().value.as_u64(), 20);
         assert!(wal
-            .rolled_back_txns()
+            .full_view()
+            .rolled_back()
             .contains(&TxnId::new(PartitionId(0), 2)));
         // Idempotent: a second pass finds nothing.
         assert_eq!(
@@ -301,5 +320,59 @@ mod tests {
             store.get(TableId(0), 3).is_none(),
             "the chain must unwind to 'never existed'"
         );
+    }
+
+    fn txn(seq: u64) -> TxnId {
+        TxnId::new(PartitionId(0), seq)
+    }
+
+    fn put(seq: u64, ts: u64) -> LogPayload {
+        LogPayload::TxnWrites {
+            txn: txn(seq),
+            ts,
+            writes: vec![LoggedWrite::put(TableId(0), seq, Value::from_u64(seq))],
+        }
+    }
+
+    #[test]
+    fn rolled_back_write_sets_are_uncovered_and_unmarked() {
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
+        wal.append(put(1, 5));
+        wal.append(put(2, 9));
+        wal.append(put(3, 12));
+        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
+        // ts >= 8 is rolled back; txn 3 was already compensated earlier.
+        let doomed = rolled_back_write_sets(&wal, &ReplayBound::Ts(8), None);
+        assert_eq!(doomed.len(), 1);
+        assert_eq!(doomed[0].0, txn(2));
+        // An upper cutoff (the log end captured at the crash agreement)
+        // excludes entries of transactions that committed afterwards.
+        assert!(rolled_back_write_sets(&wal, &ReplayBound::Ts(8), Some(1)).is_empty());
+        // No durability filter: a volatile entry on a survivor still counts.
+        let wal = ReplicatedLog::single(PartitionId(0), 60_000);
+        wal.append(put(7, 9));
+        assert_eq!(
+            rolled_back_write_sets(&wal, &ReplayBound::Ts(8), None).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn persist_window_bound_rolls_back_only_window_spanning_entries() {
+        use std::time::Duration;
+        let wal = ReplicatedLog::single(PartitionId(0), 30_000); // 30 ms persist
+        wal.append(put(1, 1));
+        std::thread::sleep(Duration::from_millis(40));
+        // Entry 1 is durable now; entry 2 is inside its window at the crash
+        // instant; entry 3 is appended after the crash (a post-crash commit
+        // the scheme reports Committed).
+        wal.append(put(2, 2));
+        std::thread::sleep(Duration::from_millis(2));
+        let crash_instant = primo_common::sim_time::now_us();
+        std::thread::sleep(Duration::from_millis(2));
+        wal.append(put(3, 3));
+        let doomed = rolled_back_write_sets(&wal, &ReplayBound::PersistWindow(crash_instant), None);
+        assert_eq!(doomed.len(), 1);
+        assert_eq!(doomed[0].0, txn(2));
     }
 }

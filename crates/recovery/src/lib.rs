@@ -34,4 +34,4 @@ pub mod manager;
 
 pub use checkpoint::{CheckpointStats, Checkpointer};
 pub use compensate::{compensate_partition, compensate_survivors, CompensationReport};
-pub use manager::{apply_replay, CrashContext, RecoveryManager, RecoveryReport};
+pub use manager::{apply_replay, in_doubt_votes, CrashContext, RecoveryManager, RecoveryReport};

@@ -4,11 +4,13 @@
 //! deterministic successor replica when a second crash lands mid-replay.
 
 use primo_common::sim_time::now_us;
-use primo_common::{PartitionId, Ts};
+use primo_common::{PartitionId, Ts, TxnId};
 use primo_net::{PartitionHealth, SimNetwork};
 use primo_storage::PartitionStore;
 use primo_trace::{FlightRecorder, TraceEventKind};
-use primo_wal::{GroupCommit, LogPayload, LoggedOp, ReplayedTxn, ReplicatedLog};
+use primo_wal::{GroupCommit, LogPayload, LogView, LoggedOp, ReplayedTxn, ReplicatedLog};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything captured at the instant a partition crashed. Recovery needs
@@ -75,9 +77,9 @@ pub struct RecoveryReport {
 }
 
 /// Apply a replayed transaction sequence to a store, in order. The sequence
-/// comes ts-sorted and deduplicated from
-/// [`ReplicatedLog::replay_range`], so applying it twice equals applying it
-/// once (puts overwrite in place, deletes of missing keys are no-ops).
+/// comes ts-sorted and deduplicated from [`LogView::replay`], so applying
+/// it twice equals applying it once (puts overwrite in place, deletes of
+/// missing keys are no-ops).
 pub fn apply_replay(store: &PartitionStore, txns: &[ReplayedTxn]) {
     for (_, ts, writes) in txns {
         for w in writes {
@@ -91,6 +93,30 @@ pub fn apply_replay(store: &PartitionStore, txns: &[ReplayedTxn]) {
             }
         }
     }
+}
+
+/// The in-doubt transactions in `view`: a durable
+/// [`LogPayload::CommitVote`] with no resolution — no
+/// [`LogPayload::CommitDecision`], no installed [`LogPayload::TxnWrites`]
+/// (evidence the commit round ran to completion on this partition) and no
+/// [`LogPayload::TxnRolledBack`] marker. Recovery seals each with the
+/// presumed-abort verdict. Returned in first-vote order.
+pub fn in_doubt_votes(view: &LogView<'_>) -> Vec<TxnId> {
+    let mut voted: Vec<TxnId> = Vec::new();
+    let mut resolved: HashSet<TxnId> = HashSet::new();
+    for e in view.entries() {
+        match *e.payload {
+            LogPayload::CommitVote { txn, .. } if !voted.contains(&txn) => voted.push(txn),
+            LogPayload::CommitDecision { txn, .. }
+            | LogPayload::TxnWrites { txn, .. }
+            | LogPayload::TxnRolledBack { txn } => {
+                resolved.insert(txn);
+            }
+            _ => {}
+        }
+    }
+    voted.retain(|t| !resolved.contains(t));
+    voted
 }
 
 /// Stateless recovery driver.
@@ -173,7 +199,19 @@ impl RecoveryManager {
                     (0, Vec::new())
                 }
                 Some(cutoff) => {
-                    let image = log.latest_durable_checkpoint(Some(cutoff));
+                    let bound = gc.replay_bound(crash.token, log, crash.durable_lsn);
+                    // The image and the replay come from one view at the
+                    // crash-time horizon: the newest checkpoint durable at
+                    // the crash, then the retained log from its base.
+                    let (image, txns) = {
+                        let view = log.durable_view(Some(cutoff));
+                        let image = view.rfind_map(|e| match e.payload.as_ref() {
+                            LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
+                            _ => None,
+                        });
+                        let base = image.as_ref().map_or(0, |image| image.base_lsn);
+                        (image, view.replay(base.., &bound))
+                    };
                     let (restored, replay_base) = match &image {
                         Some(image) => {
                             for ((table, key), (value, ts)) in &image.records {
@@ -183,8 +221,6 @@ impl RecoveryManager {
                         }
                         None => (0, 0),
                     };
-                    let bound = gc.replay_bound(crash.token, log, crash.durable_lsn);
-                    let txns = log.replay_range(replay_base, &bound, Some(cutoff));
                     apply_replay(store, &txns);
                     // Log repair: drop every write-set replay did not apply
                     // (lost volatile tail, rolled-back durable suffix) so a
@@ -228,7 +264,7 @@ impl RecoveryManager {
         // between prepare and decide. No durable decision means nobody ever
         // decided COMMIT, so the presumed-abort verdict is sealed durably;
         // a classic-2PC cluster logs no votes and resolves nothing here.
-        let in_doubt = log.unresolved_commit_votes(crash.durable_lsn);
+        let in_doubt = in_doubt_votes(&log.durable_view(crash.durable_lsn));
         let in_doubt_resolved = in_doubt.len();
         if !in_doubt.is_empty() {
             log.append_batch(
@@ -259,10 +295,13 @@ impl RecoveryManager {
         // dead leader's agent appended during the outage. The cluster-wide
         // agreement token can only be larger (it already incorporates every
         // partition's view).
-        let recovered_wp = crash.token.max(
-            log.latest_durable_watermark_at(crash.durable_lsn)
-                .unwrap_or(0),
-        );
+        let logged_wp = log
+            .durable_view(crash.durable_lsn)
+            .rfind_map(|e| match *e.payload {
+                LogPayload::Watermark { wp } => Some(wp),
+                _ => None,
+            });
+        let recovered_wp = crash.token.max(logged_wp.unwrap_or(0));
         gc.on_partition_recover(p, recovered_wp);
         net.set_health(p, PartitionHealth::Up);
 
@@ -285,9 +324,8 @@ mod tests {
     use super::*;
     use crate::checkpoint::Checkpointer;
     use primo_common::config::NetConfig;
-    use primo_common::{TableId, TxnId, Value};
+    use primo_common::{TableId, Value};
     use primo_wal::{CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, TxnTicket};
-    use std::sync::Arc;
 
     /// Minimal scheme: everything durable at crash is committed.
     struct DurableIsCommitted;
@@ -332,6 +370,20 @@ mod tests {
             },
             1,
         )
+    }
+
+    fn decision(view: &LogView<'_>, txn: TxnId) -> Option<bool> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
+            _ => None,
+        })
+    }
+
+    fn vote(view: &LogView<'_>, txn: TxnId) -> Option<bool> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
+            _ => None,
+        })
     }
 
     fn log_put(wal: &ReplicatedLog, seq: u64, ts: Ts, key: u64, v: u64) {
@@ -452,17 +504,17 @@ mod tests {
         assert_eq!(report.in_doubt_resolved, 1, "only txn_c was in doubt");
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert_eq!(
-            wal.commit_decision_for(txn_c, None),
+            decision(&wal.durable_view(None), txn_c),
             Some(false),
             "the presumed-abort verdict is sealed durably"
         );
         assert_eq!(
-            wal.commit_decision_for(txn_a, None),
+            decision(&wal.durable_view(None), txn_a),
             Some(true),
             "the durable COMMIT decision is never overridden"
         );
         assert!(
-            wal.unresolved_commit_votes(None).is_empty(),
+            in_doubt_votes(&wal.durable_view(None)).is_empty(),
             "no vote stays unresolved after recovery"
         );
         // Running recovery again resolves nothing new (idempotent).
@@ -483,7 +535,9 @@ mod tests {
             writes: vec![LoggedWrite::delete(TableId(0), 8)],
         });
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let txns = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let txns = wal
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX));
         let once = PartitionStore::new(PartitionId(0));
         apply_replay(&once, &txns);
         let twice = PartitionStore::new(PartitionId(0));
@@ -495,5 +549,54 @@ mod tests {
         b.sort_by_key(|(t, k, _, _)| (*t, *k));
         assert_eq!(a, b);
         assert_eq!(once.get(TableId(0), 7).unwrap().read().value.as_u64(), 71);
+    }
+
+    #[test]
+    fn in_doubt_votes_track_decisions_installs_and_rollbacks() {
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
+        let txn = |seq: u64| TxnId::new(PartitionId(0), seq);
+        let cast = |t: TxnId, commit: bool| LogPayload::CommitVote {
+            txn: t,
+            coordinator: PartitionId(0),
+            commit,
+        };
+        // txn 1: voted, decided — resolved.
+        wal.append(cast(txn(1), true));
+        wal.append(LogPayload::CommitDecision {
+            txn: txn(1),
+            commit: true,
+        });
+        // txn 2: voted, writes installed — resolved (commit completed).
+        wal.append(cast(txn(2), true));
+        wal.append(LogPayload::TxnWrites {
+            txn: txn(2),
+            ts: 5,
+            writes: vec![LoggedWrite::put(TableId(0), 2, Value::from_u64(2))],
+        });
+        // txn 3: voted, rolled back by compensation — resolved.
+        wal.append(cast(txn(3), true));
+        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
+        // txn 4: voted, nothing else — in doubt.
+        let in_doubt_lsn = wal.append(cast(txn(4), true));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert_eq!(in_doubt_votes(&wal.durable_view(None)), vec![txn(4)]);
+        assert_eq!(vote(&wal.durable_view(None), txn(4)), Some(true));
+        assert_eq!(decision(&wal.durable_view(None), txn(4)), None);
+        assert_eq!(decision(&wal.durable_view(None), txn(1)), Some(true));
+        // Sealing the in-doubt vote with an abort decision resolves it.
+        wal.append(LogPayload::CommitDecision {
+            txn: txn(4),
+            commit: false,
+        });
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(in_doubt_votes(&wal.durable_view(None)).is_empty());
+        assert_eq!(decision(&wal.durable_view(None), txn(4)), Some(false));
+        // A cutoff below the seal re-exposes the in-doubt vote (crash-time
+        // durable horizon), and one below the vote hides it entirely.
+        assert_eq!(
+            in_doubt_votes(&wal.durable_view(Some(in_doubt_lsn))),
+            vec![txn(4)]
+        );
+        assert!(in_doubt_votes(&wal.durable_view(Some(in_doubt_lsn - 1))).is_empty());
     }
 }

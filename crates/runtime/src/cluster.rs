@@ -13,7 +13,7 @@ use primo_recovery::{
 };
 use primo_storage::PartitionStore;
 use primo_trace::{FlightRecorder, TraceEventKind};
-use primo_wal::{build_group_commit, GroupCommit, ReplicatedLog};
+use primo_wal::{build_group_commit, GroupCommit, LogPayload, ReplicatedLog};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -531,7 +531,14 @@ impl Cluster {
             return None;
         }
         let partition = self.partition(p);
-        let stats = if partition.log.latest_checkpoint().is_none() {
+        let has_image = partition
+            .log
+            .full_view()
+            .entries()
+            .iter()
+            .rev()
+            .any(|e| matches!(*e.payload, LogPayload::Checkpoint { .. }));
+        let stats = if !has_image {
             Checkpointer::initial(&partition.store, &partition.log)
         } else {
             Checkpointer::tick(p, &partition.log, self.group_commit.as_ref())

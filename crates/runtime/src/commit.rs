@@ -461,6 +461,13 @@ mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
 
+    fn decision(log: &primo_wal::ReplicatedLog, txn: TxnId) -> Option<bool> {
+        log.durable_view(None).rfind_map(|e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
+            _ => None,
+        })
+    }
+
     fn cluster_with_mode(mode: CommitMode, partitions: usize) -> Arc<Cluster> {
         let mut config = ClusterConfig::for_tests(partitions);
         config.commit_mode = mode;
@@ -499,11 +506,7 @@ mod tests {
         assert_eq!(cluster.net.round_trips_charged() - before, 2);
         assert_eq!(cluster.commit_decisions(), 1);
         assert!(
-            cluster
-                .partition(PartitionId(0))
-                .log
-                .commit_decision_for(txn, None)
-                .is_none(),
+            decision(&cluster.partition(PartitionId(0)).log, txn).is_none(),
             "classic 2PC logs no decision entries"
         );
         cluster.shutdown();
@@ -534,12 +537,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         for p in [PartitionId(0), PartitionId(1), PartitionId(2)] {
             let log = &cluster.partition(p).log;
-            assert_eq!(log.commit_vote_for(txn, None), Some(true), "vote at {p:?}");
-            assert_eq!(
-                log.commit_decision_for(txn, None),
-                Some(true),
-                "decision at {p:?}"
-            );
+            let vote = log.durable_view(None).rfind_map(|e| match *e.payload {
+                LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
+                _ => None,
+            });
+            assert_eq!(vote, Some(true), "vote at {p:?}");
+            assert_eq!(decision(log, txn), Some(true), "decision at {p:?}");
         }
         cluster.shutdown();
     }
@@ -584,17 +587,14 @@ mod tests {
         assert_eq!(cluster.orphaned_txns(), 0, "nothing blocks under Paxos");
         std::thread::sleep(Duration::from_millis(5));
         for p in [PartitionId(0), PartitionId(1)] {
+            let log = &cluster.partition(p).log;
             assert_eq!(
-                cluster.partition(p).log.commit_decision_for(txn, None),
+                decision(log, txn),
                 Some(false),
                 "the abort verdict is sealed durably at {p:?}"
             );
             assert!(
-                cluster
-                    .partition(p)
-                    .log
-                    .unresolved_commit_votes(None)
-                    .is_empty(),
+                primo_recovery::in_doubt_votes(&log.durable_view(None)).is_empty(),
                 "no vote stays in doubt at {p:?}"
             );
         }

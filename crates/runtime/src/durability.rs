@@ -125,19 +125,19 @@ mod tests {
         assert_eq!(cluster.partition(PartitionId(1)).log.len(), base1 + 1);
 
         std::thread::sleep(std::time::Duration::from_millis(60));
-        let replayed =
-            cluster
-                .partition(PartitionId(0))
-                .log
-                .replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let replayed = cluster
+            .partition(PartitionId(0))
+            .log
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX));
         let ours = replayed.iter().find(|(t, _, _)| *t == txn).unwrap();
         assert_eq!(ours.1, 7);
         assert_eq!(ours.2.len(), 2, "both P0 writes in one entry");
-        let remote =
-            cluster
-                .partition(PartitionId(1))
-                .log
-                .replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let remote = cluster
+            .partition(PartitionId(1))
+            .log
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX));
         let ours = remote.iter().find(|(t, _, _)| *t == txn).unwrap();
         assert!(matches!(ours.2[0].op, LoggedOp::Delete));
         cluster.shutdown();
@@ -166,7 +166,8 @@ mod tests {
         let replayed = cluster
             .partition(p)
             .log
-            .replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX));
         let ours = &replayed.iter().find(|(t, _, _)| *t == txn).unwrap().2;
         assert_eq!(
             ours[0].prev.as_ref().unwrap().as_u64(),

@@ -569,10 +569,14 @@ mod tests {
         );
         assert!(snap.committed > 0);
         // Base checkpoint + at least one periodic fold.
-        let (_, image) = cluster
+        let image = cluster
             .partition(PartitionId(0))
             .log
-            .latest_checkpoint()
+            .full_view()
+            .rfind_map(|e| match e.payload.as_ref() {
+                primo_wal::LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
+                _ => None,
+            })
             .expect("checkpoints were written");
         assert!(image.len() >= 16, "base image covers the loaded keys");
         cluster.shutdown();

@@ -480,11 +480,11 @@ mod tests {
             "at least one crash-aborted attempt, got {attempts}"
         );
         std::thread::sleep(Duration::from_millis(35));
-        let replayed = cluster.partition(PartitionId(0)).log.replay_range(
-            0,
-            &ReplayBound::Lsn(u64::MAX),
-            None,
-        );
+        let replayed = cluster
+            .partition(PartitionId(0))
+            .log
+            .durable_view(None)
+            .replay(.., &ReplayBound::Lsn(u64::MAX));
         assert_eq!(
             replayed.len(),
             attempts,

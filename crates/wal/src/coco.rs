@@ -16,7 +16,7 @@
 //! plateau beyond ~12 partitions (Fig 14).
 
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, SeqTsSource, TxnTicket};
-use crate::log::{LogPayload, ReplayBound};
+use crate::log::{LogPayload, LogView, ReplayBound};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::{Condvar, Mutex};
@@ -244,6 +244,16 @@ impl CocoCommit {
     }
 }
 
+/// LSN of the newest [`LogPayload::EpochBoundary`] in `view` sealing an
+/// epoch at most `max_epoch` — the split between committed epochs and the
+/// rolled-back one, read at whatever horizon the caller's view has.
+fn epoch_boundary(view: &LogView<'_>, max_epoch: u64) -> Option<u64> {
+    view.rfind_map(|e| match *e.payload {
+        LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
+        _ => None,
+    })
+}
+
 impl GroupCommit for CocoCommit {
     fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> Arc<TxnTicket> {
         let mut st = self.state.lock();
@@ -385,10 +395,7 @@ impl GroupCommit for CocoCommit {
         // epoch. The boundary is looked up at the crash-time quorum cutoff
         // so a quorum broken mid-recovery cannot erase it.
         let bound = crash_token.saturating_sub(1);
-        ReplayBound::Lsn(
-            log.latest_durable_epoch_boundary(bound, cutoff_lsn)
-                .unwrap_or(0),
-        )
+        ReplayBound::Lsn(epoch_boundary(&log.durable_view(cutoff_lsn), bound).unwrap_or(0))
     }
 
     fn survivor_rollback_bound(&self, crash_token: Ts, wal: &ReplicatedLog) -> ReplayBound {
@@ -397,15 +404,12 @@ impl GroupCommit for CocoCommit {
         // epoch (durable or not) splits the log exactly: everything after it
         // belongs to the aborted epoch and is rolled back.
         let bound = crash_token.saturating_sub(1);
-        ReplayBound::Lsn(wal.latest_epoch_boundary(bound).map_or(0, |l| l + 1))
+        ReplayBound::Lsn(epoch_boundary(&wal.full_view(), bound).map_or(0, |l| l + 1))
     }
 
     fn checkpoint_bound(&self, _p: PartitionId, log: &ReplicatedLog) -> ReplayBound {
         let committed = self.committed_epoch();
-        ReplayBound::Lsn(
-            log.latest_durable_epoch_boundary(committed, None)
-                .unwrap_or(0),
-        )
+        ReplayBound::Lsn(epoch_boundary(&log.durable_view(None), committed).unwrap_or(0))
     }
 
     fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
@@ -456,6 +460,26 @@ mod tests {
     }
 
     #[test]
+    fn epoch_boundary_lookup_filters_by_epoch() {
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
+        let b1 = wal.append(LogPayload::EpochBoundary { epoch: 1 });
+        let b2 = wal.append(LogPayload::EpochBoundary { epoch: 2 });
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(epoch_boundary(&wal.durable_view(None), 2), Some(b2));
+        assert_eq!(epoch_boundary(&wal.durable_view(None), 1), Some(b1));
+        assert_eq!(epoch_boundary(&wal.durable_view(None), 0), None);
+        // A cutoff below the newer boundary falls back to the older one.
+        assert_eq!(epoch_boundary(&wal.durable_view(Some(b1)), 2), Some(b1));
+        // The durability-blind view (survivor-side rollback bound) agrees
+        // here and also sees boundaries still inside their persist window.
+        assert_eq!(epoch_boundary(&wal.full_view(), 2), Some(b2));
+        let slow = ReplicatedLog::single(PartitionId(0), 60_000);
+        let b = slow.append(LogPayload::EpochBoundary { epoch: 1 });
+        assert_eq!(epoch_boundary(&slow.durable_view(None), 1), None);
+        assert_eq!(epoch_boundary(&slow.full_view(), 1), Some(b));
+    }
+
+    #[test]
     fn epoch_advances_and_commits() {
         let gc = make(2);
         let ticket = gc.begin_txn(PartitionId(0), tid(1));
@@ -495,9 +519,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         let committed = gc.committed_epoch();
         for wal in &wals {
-            let lsn = wal
-                .latest_durable_epoch_boundary(committed, None)
-                .expect("boundary sealed");
+            let lsn = epoch_boundary(&wal.durable_view(None), committed).expect("boundary sealed");
             // The replay bound for a crash in the next epoch covers the
             // sealed prefix.
             match gc.replay_bound(committed + 1, wal, None) {

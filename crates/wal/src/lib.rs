@@ -6,6 +6,16 @@
 //!   persisted the record, with leadership terms and deterministic leader
 //!   hand-off (the paper replicates each partition's log through Raft,
 //!   §5.2).
+//! * [`log`] — one log copy's storage and its single read surface, the
+//!   [`LogView`]. Readers never call a per-query method: they take
+//!   [`ReplicatedLog::durable_view`] (the quorum-durable prefix, optionally
+//!   clamped to a crash-time cutoff) or [`ReplicatedLog::full_view`]
+//!   (everything, durable or not) and run a closure over
+//!   [`LogView::entries`] / [`LogView::rfind_map`]. The folds that must
+//!   agree share one rollback-marker set ([`LogView::rolled_back`]):
+//!   [`LogView::fold_stop`], and the selections built on
+//!   [`LogView::write_sets`] (replay, the checkpoint fold, survivor
+//!   compensation), which also share one ordering/dedup rule.
 //!
 //! * [`watermark`] — Primo's **watermark-based asynchronous group commit**
 //!   (§5): partitions persist logs independently, publish partition
@@ -33,8 +43,8 @@ pub mod watermark;
 
 pub use group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 pub use log::{
-    CheckpointImage, LogEntry, LogPayload, LoggedOp, LoggedWrite, PartitionWal, ReplayBound,
-    ReplayedTxn,
+    CheckpointImage, LogEntry, LogPayload, LogView, LoggedOp, LoggedWrite, PartitionWal,
+    ReplayBound, ReplayedTxn,
 };
 pub use replicated::ReplicatedLog;
 pub use watermark::WatermarkCommit;

@@ -11,10 +11,12 @@
 //! and the recovery manager rebuilds a crashed partition's store from
 //! `latest durable checkpoint + bounded replay` (see `primo-recovery`).
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use primo_common::sim_time::now_us;
 use primo_common::{Key, PartitionId, TableId, Ts, TxnId, Value};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// One operation inside a logged write-set.
@@ -339,27 +341,6 @@ impl PartitionWal {
         entry
     }
 
-    /// Deliver a batch of already-sequenced entries to this replica under
-    /// **one** lock acquisition — stage 2 of the replicated append
-    /// pipeline. Entries keep the LSN, append timestamp and term the
-    /// sequencer stamped, so the copy is byte-identical to the leader's and
-    /// durability timing is independent of when the pump ran. The batch
-    /// must continue this replica's log (`entries` are the next LSNs in
-    /// order); that invariant is upheld by the replicated log, which
-    /// serializes sequencing, draining and every replica-set mutation.
-    pub fn append_entries(&self, entries: &[LogEntry]) {
-        if entries.is_empty() {
-            return;
-        }
-        let mut inner = self.folded();
-        debug_assert_eq!(
-            entries[0].lsn, inner.next_lsn,
-            "replication batch must continue the replica's log"
-        );
-        inner.entries.extend_from_slice(entries);
-        inner.next_lsn = entries[entries.len() - 1].lsn + 1;
-    }
-
     /// Receive one replication segment: O(1) — the segment `Arc` is shared
     /// by every replica of the partition, and the per-entry copy into this
     /// replica's own storage is deferred to the first read that needs it.
@@ -403,22 +384,6 @@ impl PartitionWal {
         entries.partition_point(|e| e.appended_at_us + persist_delay_us <= now)
     }
 
-    /// Length of the prefix the durable scans may read. An explicit
-    /// `cutoff_lsn` **is** a durability horizon the caller already computed
-    /// (this log's — or, through [`crate::ReplicatedLog`], the quorum's —
-    /// durable LSN): entries at or below it are durable by construction, so
-    /// this copy's own disk delay must not filter further. Otherwise an
-    /// elected leader with a disk slower than the quorum-ack delay would
-    /// hide quorum-acknowledged entries from recovery. Without a cutoff,
-    /// the copy's local persist delay decides.
-    #[inline]
-    fn durable_len(&self, entries: &[LogEntry], cutoff_lsn: Option<u64>, now: u64) -> usize {
-        match cutoff_lsn {
-            Some(_) => entries.len(),
-            None => Self::durable_prefix_len(entries, self.persist_delay_us, now),
-        }
-    }
-
     /// Highest LSN that is durable "now" (append time + persist delay has
     /// elapsed). Returns `None` if nothing is durable yet.
     pub fn durable_lsn(&self) -> Option<u64> {
@@ -433,405 +398,39 @@ impl PartitionWal {
         self.durable_lsn().map(|d| d >= lsn).unwrap_or(false)
     }
 
-    /// The latest durable watermark record, if any (recovery reads this —
-    /// §5.2 "the new leader retrieves the latest Wp in its Raft log").
-    pub fn latest_durable_watermark(&self) -> Option<Ts> {
-        self.latest_durable_watermark_at(None)
-    }
-
-    /// [`PartitionWal::latest_durable_watermark`] restricted to entries at
-    /// or below `cutoff_lsn` — recovery passes the durable LSN captured at
-    /// crash time so a `Wp` record that was still volatile when the
-    /// partition died (or was appended by the dead leader's agent during
-    /// the outage) is never recovered from.
-    pub fn latest_durable_watermark_at(&self, cutoff_lsn: Option<u64>) -> Option<Ts> {
-        let now = now_us();
+    /// A read-only [`LogView`] of this copy's entries with LSN at or below
+    /// `through` (no entries for `None`). The bound is the caller's
+    /// durability horizon — [`crate::ReplicatedLog::durable_view`] passes
+    /// the quorum-acked LSN, `full_view` passes `u64::MAX` — so this copy's
+    /// own persist delay filters nothing: a leader whose disk is slower
+    /// than the quorum still serves everything the quorum acknowledged.
+    pub fn view(&self, through: Option<u64>) -> LogView<'_> {
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match *e.payload {
-                LogPayload::Watermark { wp } => Some(wp),
-                _ => None,
-            })
-    }
-
-    /// The newest durable checkpoint image whose entry LSN does not exceed
-    /// `cutoff_lsn` (pass the durable LSN captured at crash time so recovery
-    /// never restores an image that was still volatile when the partition
-    /// died).
-    pub fn latest_durable_checkpoint(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<Arc<CheckpointImage>> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match e.payload.as_ref() {
-                LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
-                _ => None,
-            })
-    }
-
-    /// The latest (checkpoint-entry LSN, image) pair regardless of
-    /// durability — the checkpoint writer folds forward from here.
-    pub fn latest_checkpoint(&self) -> Option<(u64, Arc<CheckpointImage>)> {
-        let inner = self.folded();
-        inner
-            .entries
-            .iter()
-            .rev()
-            .find_map(|e| match e.payload.as_ref() {
-                LogPayload::Checkpoint { image } => Some((e.lsn, Arc::clone(image))),
-                _ => None,
-            })
-    }
-
-    /// LSN of the newest durable [`LogPayload::EpochBoundary`] whose epoch is
-    /// at most `max_epoch` and whose LSN does not exceed `cutoff_lsn` (COCO
-    /// recovery / checkpoint bound; the replicated log passes its quorum
-    /// LSN as the cutoff).
-    pub fn latest_durable_epoch_boundary(
-        &self,
-        max_epoch: u64,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<u64> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match *e.payload {
-                LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
-                _ => None,
-            })
-    }
-
-    /// LSN of the newest [`LogPayload::EpochBoundary`] with epoch at most
-    /// `max_epoch`, regardless of durability. A *surviving* partition's log
-    /// lost nothing, so when COCO rolls back the crashed epoch the boundary
-    /// of the last committed epoch separates committed write-sets from
-    /// rolled-back ones even while it is still inside its persist window.
-    pub fn latest_epoch_boundary(&self, max_epoch: u64) -> Option<u64> {
-        let inner = self.folded();
-        inner.entries.iter().rev().find_map(|e| match *e.payload {
-            LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
-            _ => None,
-        })
-    }
-
-    /// Replay all durable transaction writes with `ts < up_to`.
-    ///
-    /// The output is **commit-timestamp-sorted** (ties broken by LSN, i.e.
-    /// append order) and **deduplicated by transaction id** (the entry with
-    /// the highest LSN wins), so applying it left-to-right with last-writer-
-    /// wins semantics is deterministic and replaying any prefix twice equals
-    /// replaying it once. Everything at or above `up_to` is rolled back
-    /// (i.e. simply not replayed).
-    pub fn replay_prefix(&self, up_to: Ts) -> Vec<ReplayedTxn> {
-        self.replay_range(0, &ReplayBound::Ts(up_to), None)
-    }
-
-    /// Replay durable transaction writes with `lsn >= from_lsn`, restricted
-    /// to `bound` and (when given) to entries at or below `cutoff_lsn` — the
-    /// durable LSN captured at crash time, so entries that were still
-    /// volatile when the partition died are treated as lost.
-    ///
-    /// Transactions cancelled by a durable [`LogPayload::TxnRolledBack`]
-    /// marker (a crash rolled them back and compensation undid their
-    /// installed writes) are never replayed, whatever the bound says — the
-    /// bound keeps advancing after the crash, the rollback decision does not.
-    ///
-    /// Sorted and deduplicated exactly like [`PartitionWal::replay_prefix`].
-    pub fn replay_range(
-        &self,
-        from_lsn: u64,
-        bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
-    ) -> Vec<ReplayedTxn> {
-        let now = now_us();
-        let picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)> = {
-            let inner = self.folded();
-            // Rollback markers cancel entries *behind* them (lower LSNs), so
-            // they are collected over the whole log with the same durability
-            // and crash-cutoff filters as the entries themselves. An
-            // explicit cutoff is a durability horizon (see `durable_len`),
-            // so the local age filter only applies without one.
-            let marker_durability = match cutoff_lsn {
-                Some(_) => None,
-                None => Some((now, self.persist_delay_us)),
-            };
-            let rolled_back = Self::rolled_back_in(&inner, marker_durability, cutoff_lsn);
-            inner
-                .entries
-                .iter()
-                .filter(|e| e.lsn >= from_lsn)
-                .filter(|e| match cutoff_lsn {
-                    Some(cut) => e.lsn <= cut,
-                    None => e.appended_at_us + self.persist_delay_us <= now,
-                })
-                .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, writes }
-                        if bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !rolled_back.contains(txn) =>
-                    {
-                        Some((*ts, e.lsn, *txn, writes.clone()))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        Self::sort_dedup_by_txn(picked)
-    }
-
-    /// Order picked entries by `(ts, lsn)` and deduplicate by transaction
-    /// id, keeping the highest-LSN entry: a transaction logs one entry per
-    /// partition, so later duplicates (if a caller ever re-appends)
-    /// supersede earlier ones. Shared by [`PartitionWal::replay_range`] and
-    /// [`PartitionWal::collect_rolled_back`] so the set of transactions
-    /// replayed and the set compensated can never diverge on the
-    /// ordering/dedup rule.
-    fn sort_dedup_by_txn(mut picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)>) -> Vec<ReplayedTxn> {
-        picked.sort_by_key(|(ts, lsn, _, _)| (*ts, *lsn));
-        let mut out: Vec<ReplayedTxn> = Vec::with_capacity(picked.len());
-        let mut seen: std::collections::HashMap<TxnId, usize> = std::collections::HashMap::new();
-        for (ts, _lsn, txn, writes) in picked {
-            match seen.get(&txn) {
-                Some(&i) => out[i] = (txn, ts, writes),
-                None => {
-                    seen.insert(txn, out.len());
-                    out.push((txn, ts, writes));
-                }
-            }
+        let len = through.map_or(0, |last| inner.entries.partition_point(|e| e.lsn <= last));
+        LogView {
+            inner,
+            len,
+            ack_delay_us: self.ack_delay_us,
         }
-        out
-    }
-
-    /// Collect the transaction ids cancelled by [`LogPayload::TxnRolledBack`]
-    /// markers. `durability` is `Some((now, persist_delay))` to honour only
-    /// markers that are durable at `now` (replay semantics: a marker still in
-    /// its persist window at a crash is lost, exactly like a write-set);
-    /// `None` trusts every marker in the log (live compensation, which runs
-    /// on a partition that did not crash). `cutoff_lsn` restricts to markers
-    /// at or below the crash-time durable LSN.
-    fn rolled_back_in(
-        inner: &WalInner,
-        durability: Option<(u64, u64)>,
-        cutoff_lsn: Option<u64>,
-    ) -> std::collections::HashSet<TxnId> {
-        inner
-            .entries
-            .iter()
-            .filter(|e| {
-                durability.is_none_or(|(now, delay)| e.appended_at_us + delay <= now)
-                    && cutoff_lsn.is_none_or(|cut| e.lsn <= cut)
-            })
-            .filter_map(|e| match *e.payload {
-                LogPayload::TxnRolledBack { txn } => Some(txn),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All transaction ids with a rollback marker in this log, regardless of
-    /// durability (exposed for compensation and tests).
-    pub fn rolled_back_txns(&self) -> std::collections::HashSet<TxnId> {
-        Self::rolled_back_in(&self.folded(), None, None)
-    }
-
-    /// The `TxnWrites` entries `bound` does **not** cover and no rollback
-    /// marker cancels yet: the transactions a crash just rolled back on this
-    /// *surviving* partition, whose installed writes compensation must undo.
-    /// No durability filter — this partition did not crash, so nothing in
-    /// its log is lost. Entries at or past `upper_cutoff` (the survivor's
-    /// log end captured right after the crash agreement) are excluded: they
-    /// belong to transactions that committed *after* the agreement, which
-    /// every scheme reports `Committed`. Sorted by `(ts, lsn)` and
-    /// deduplicated by transaction exactly like
-    /// [`PartitionWal::replay_range`], so undoing the result in reverse
-    /// restores the pre-transaction state.
-    pub fn collect_rolled_back(
-        &self,
-        bound: &ReplayBound,
-        upper_cutoff: Option<u64>,
-    ) -> Vec<ReplayedTxn> {
-        let picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)> = {
-            let inner = self.folded();
-            let already = Self::rolled_back_in(&inner, None, None);
-            inner
-                .entries
-                .iter()
-                .filter(|e| upper_cutoff.is_none_or(|cut| e.lsn < cut))
-                .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, writes }
-                        if !bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !already.contains(txn) =>
-                    {
-                        Some((*ts, e.lsn, *txn, writes.clone()))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        Self::sort_dedup_by_txn(picked)
-    }
-
-    /// The newest durable [`LogPayload::CommitDecision`] verdict for `txn`
-    /// at or below `cutoff_lsn`, if any.
-    pub fn commit_decision_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match *e.payload {
-                LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
-                _ => None,
-            })
-    }
-
-    /// The durable [`LogPayload::CommitVote`] for `txn` at or below
-    /// `cutoff_lsn`, if any (verdict assembly and tests).
-    pub fn commit_vote_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match *e.payload {
-                LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
-                _ => None,
-            })
-    }
-
-    /// Transaction ids with a durable [`LogPayload::CommitVote`] at or below
-    /// `cutoff_lsn` but no resolution: no durable [`LogPayload::CommitDecision`],
-    /// no installed [`LogPayload::TxnWrites`] (evidence the commit round ran
-    /// to completion on this partition) and no [`LogPayload::TxnRolledBack`]
-    /// marker. These are the in-doubt transactions recovery must terminate;
-    /// it seals each with a global abort decision (presumed abort). Returned
-    /// in first-vote order.
-    pub fn unresolved_commit_votes(&self, cutoff_lsn: Option<u64>) -> Vec<TxnId> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        let mut voted: Vec<TxnId> = Vec::new();
-        let mut resolved: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
-        for e in inner.entries[..durable]
-            .iter()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-        {
-            match e.payload.as_ref() {
-                LogPayload::CommitVote { txn, .. } if !voted.contains(txn) => {
-                    voted.push(*txn);
-                }
-                LogPayload::CommitDecision { txn, .. }
-                | LogPayload::TxnWrites { txn, .. }
-                | LogPayload::TxnRolledBack { txn } => {
-                    resolved.insert(*txn);
-                }
-                _ => {}
-            }
-        }
-        voted.retain(|t| !resolved.contains(t));
-        voted
-    }
-
-    /// Clone the suffix of the log starting at `from_lsn`.
-    pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
-        let inner = self.folded();
-        inner
-            .entries
-            .iter()
-            .filter(|e| e.lsn >= from_lsn)
-            .cloned()
-            .collect()
-    }
-
-    /// The first LSN at or after `from_lsn` that may **not** be folded into
-    /// a checkpoint: the first entry that is not yet durable, or a
-    /// transaction write-set `bound` does not cover. Control entries inside
-    /// the folded prefix are folded past, and so are write-sets cancelled by
-    /// a durable rollback marker (the fold's `replay_range` skips them, so
-    /// they never reach the image). A metadata-only scan under the log lock
-    /// — no entry is cloned.
-    pub fn fold_stop_lsn(&self, from_lsn: u64, bound: &ReplayBound) -> u64 {
-        let now = now_us();
-        let inner = self.folded();
-        let rolled_back = Self::rolled_back_in(&inner, Some((now, self.persist_delay_us)), None);
-        let mut stop = from_lsn;
-        for entry in inner.entries.iter().filter(|e| e.lsn >= from_lsn) {
-            if entry.appended_at_us + self.persist_delay_us > now {
-                break;
-            }
-            if let LogPayload::TxnWrites { txn, ts, .. } = entry.payload.as_ref() {
-                if !rolled_back.contains(txn)
-                    && !bound.covers(*ts, entry.lsn, entry.appended_at_us, self.ack_delay_us)
-                {
-                    break;
-                }
-            }
-            stop = entry.lsn + 1;
-        }
-        stop
     }
 
     /// Recovery-time log repair: remove every `TxnWrites` entry at or after
     /// `from_lsn` that replay did **not** apply — entries past the
     /// crash-time durable LSN (the lost volatile tail), durable entries
     /// above the rollback bound (transactions reported `CrashAborted`), and
-    /// entries cancelled by a durable rollback marker (compensated after an
-    /// earlier crash of *another* partition). Without this, a later
-    /// checkpoint fold — whose bound keeps advancing after recovery — would
-    /// resurrect rolled-back transactions. Returns the number of entries
-    /// removed.
-    pub fn retain_replayable(
+    /// entries of `cancelled` transactions (compensated after an earlier
+    /// crash of *another* partition). Without this, a later checkpoint fold
+    /// — whose bound keeps advancing after recovery — would resurrect
+    /// rolled-back transactions. The replicated log computes `cancelled`
+    /// once, from the replay's own view, and applies it to every replica,
+    /// so replicas with different persist delays cannot diverge on which
+    /// entries the purge drops. Returns the number of entries removed.
+    pub(crate) fn retain_replayable(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
         cutoff_lsn: Option<u64>,
-    ) -> usize {
-        let rolled_back = self.durable_rolled_back(cutoff_lsn);
-        self.retain_replayable_with(from_lsn, bound, cutoff_lsn, &rolled_back)
-    }
-
-    /// The transaction ids cancelled by a marker that is durable on *this*
-    /// log copy right now, restricted to markers at or below `cutoff_lsn`.
-    pub(crate) fn durable_rolled_back(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> std::collections::HashSet<TxnId> {
-        let durability = match cutoff_lsn {
-            // The cutoff is a durability horizon (see `durable_len`).
-            Some(_) => None,
-            None => Some((now_us(), self.persist_delay_us)),
-        };
-        Self::rolled_back_in(&self.folded(), durability, cutoff_lsn)
-    }
-
-    /// [`PartitionWal::retain_replayable`] with the cancelled-transaction
-    /// set supplied by the caller. The replicated log computes the set once
-    /// from the leader and applies it to every replica, so replicas with
-    /// different persist delays cannot diverge on which markers count as
-    /// durable (and therefore on which entries the purge drops).
-    pub(crate) fn retain_replayable_with(
-        &self,
-        from_lsn: u64,
-        bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
-        rolled_back: &std::collections::HashSet<TxnId>,
+        cancelled: &HashSet<TxnId>,
     ) -> usize {
         let mut inner = self.folded();
         let before = inner.entries.len();
@@ -844,7 +443,7 @@ impl PartitionWal {
                 LogPayload::TxnWrites { txn, ts, .. } => {
                     cutoff_lsn.is_some_and(|cut| e.lsn <= cut)
                         && bound.covers(*ts, e.lsn, e.appended_at_us, delay)
-                        && !rolled_back.contains(txn)
+                        && !cancelled.contains(txn)
                 }
                 _ => true,
             }
@@ -896,16 +495,135 @@ impl PartitionWal {
         inner.entries.retain(|e| e.lsn >= lsn);
         before - inner.entries.len()
     }
+}
 
-    /// Truncate everything already folded into the newest **durable**
-    /// checkpoint. Entries folded into a checkpoint that is still within its
-    /// persist delay are retained, so a crash immediately after a checkpoint
-    /// can always fall back to the previous durable image plus the log.
-    pub fn truncate_to_durable_checkpoint(&self) -> usize {
-        match self.latest_durable_checkpoint(None) {
-            Some(image) => self.truncate_before(image.base_lsn),
-            None => 0,
+/// The one read surface of a log copy: the entries at or below a horizon,
+/// read under the copy's lock. [`crate::ReplicatedLog::durable_view`]
+/// exposes the quorum-durable prefix (recovery, the checkpoint fold, verdict
+/// lookups); [`crate::ReplicatedLog::full_view`] exposes everything,
+/// durable or not (survivor-side compensation, the checkpoint writer's base
+/// image). One-off queries are closures over [`LogView::entries`] /
+/// [`LogView::rfind_map`]. The folds that must agree with each other —
+/// replay, the checkpoint fold and survivor compensation — select through
+/// [`LogView::write_sets`], and they and [`LogView::fold_stop`] derive
+/// cancellation from the same [`LogView::rolled_back`] set.
+///
+/// A view holds the log copy's lock for as long as it lives: drop it before
+/// appending to or mutating the log, and never hold two views of one log
+/// at once.
+pub struct LogView<'a> {
+    inner: MutexGuard<'a, WalInner>,
+    /// Length of the exposed prefix of `inner.entries`.
+    len: usize,
+    /// The copy's acknowledgement delay, for [`ReplayBound::PersistWindow`]
+    /// coverage.
+    ack_delay_us: u64,
+}
+
+impl LogView<'_> {
+    /// The exposed entries, in LSN order.
+    pub fn entries(&self) -> &[LogEntry] {
+        &self.inner.entries[..self.len]
+    }
+
+    /// The first `Some` that `f` returns walking from the newest entry back
+    /// — the shape of every "latest X" lookup.
+    pub fn rfind_map<T>(&self, f: impl FnMut(&LogEntry) -> Option<T>) -> Option<T> {
+        self.entries().iter().rev().find_map(f)
+    }
+
+    /// The transactions cancelled by a [`LogPayload::TxnRolledBack`] marker
+    /// in this view. A marker outside the view (past the durability horizon)
+    /// cancels nothing, exactly like a lost write-set.
+    pub fn rolled_back(&self) -> HashSet<TxnId> {
+        self.entries()
+            .iter()
+            .filter_map(|e| match *e.payload {
+                LogPayload::TxnRolledBack { txn } => Some(txn),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whether `bound` covers the write-set `entry` logged at commit
+    /// timestamp `ts`.
+    pub fn covers(&self, bound: &ReplayBound, ts: Ts, entry: &LogEntry) -> bool {
+        bound.covers(ts, entry.lsn, entry.appended_at_us, self.ack_delay_us)
+    }
+
+    /// The write-sets with LSN in `lsns` that `keep` selects and no marker
+    /// in this view cancels — **commit-timestamp-sorted** (ties broken by
+    /// LSN) and **deduplicated by transaction** (the highest-LSN entry
+    /// wins), so applying the result left to right with last-writer-wins
+    /// semantics is deterministic and applying it twice equals applying it
+    /// once.
+    pub fn write_sets(
+        &self,
+        lsns: impl RangeBounds<u64>,
+        mut keep: impl FnMut(TxnId, Ts, &LogEntry) -> bool,
+    ) -> Vec<ReplayedTxn> {
+        let cancelled = self.rolled_back();
+        let mut picked: Vec<(Ts, u64, TxnId, &Vec<LoggedWrite>)> = self
+            .entries()
+            .iter()
+            .filter(|e| lsns.contains(&e.lsn))
+            .filter_map(|e| match e.payload.as_ref() {
+                LogPayload::TxnWrites { txn, ts, writes }
+                    if !cancelled.contains(txn) && keep(*txn, *ts, e) =>
+                {
+                    Some((*ts, e.lsn, *txn, writes))
+                }
+                _ => None,
+            })
+            .collect();
+        picked.sort_by_key(|(ts, lsn, _, _)| (*ts, *lsn));
+        let mut out: Vec<ReplayedTxn> = Vec::with_capacity(picked.len());
+        let mut seen: HashMap<TxnId, usize> = HashMap::new();
+        for (ts, _, txn, writes) in picked {
+            let replayed = (txn, ts, writes.clone());
+            match seen.entry(txn) {
+                Entry::Occupied(slot) => out[*slot.get()] = replayed,
+                Entry::Vacant(slot) => {
+                    slot.insert(out.len());
+                    out.push(replayed);
+                }
+            }
         }
+        out
+    }
+
+    /// Replay: the write-sets in `lsns` that `bound` covers, sorted and
+    /// deduplicated like [`LogView::write_sets`]. Everything the bound does
+    /// not cover is rolled back (simply not replayed), and so is every
+    /// transaction a marker in this view cancels, whatever the bound says —
+    /// the bound keeps advancing after a crash, the rollback decision does
+    /// not.
+    pub fn replay(&self, lsns: impl RangeBounds<u64>, bound: &ReplayBound) -> Vec<ReplayedTxn> {
+        self.write_sets(lsns, |_, ts, e| self.covers(bound, ts, e))
+    }
+
+    /// The first LSN at or after `from_lsn` that a checkpoint fold may
+    /// **not** absorb: the first write-set `bound` does not cover and no
+    /// marker in this view cancels, or one past the last entry examined.
+    /// Control entries and cancelled write-sets are folded past. A
+    /// cancelled write-set stays out of the image only because the fold
+    /// selects `from_lsn..stop` through [`LogView::write_sets`] on **this
+    /// same view**, which applies the same markers. A selection that
+    /// counted fewer markers would bake it in, and truncation would then
+    /// drop the very entry its marker cancels. A metadata-only scan: no
+    /// entry is cloned.
+    pub fn fold_stop(&self, from_lsn: u64, bound: &ReplayBound) -> u64 {
+        let cancelled = self.rolled_back();
+        let mut stop = from_lsn;
+        for e in self.entries().iter().filter(|e| e.lsn >= from_lsn) {
+            if let LogPayload::TxnWrites { txn, ts, .. } = e.payload.as_ref() {
+                if !cancelled.contains(txn) && !self.covers(bound, *ts, e) {
+                    break;
+                }
+            }
+            stop = e.lsn + 1;
+        }
+        stop
     }
 }
 
@@ -920,6 +638,36 @@ mod tests {
 
     fn writes(k: Key) -> Vec<LoggedWrite> {
         vec![LoggedWrite::put(TableId(0), k, Value::from_u64(k))]
+    }
+
+    /// This copy's own durable prefix (what an RF-1 quorum view exposes).
+    fn durable(wal: &PartitionWal) -> LogView<'_> {
+        wal.view(wal.durable_lsn())
+    }
+
+    fn full(wal: &PartitionWal) -> LogView<'_> {
+        wal.view(Some(u64::MAX))
+    }
+
+    fn watermark(view: &LogView<'_>) -> Option<Ts> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::Watermark { wp } => Some(wp),
+            _ => None,
+        })
+    }
+
+    fn checkpoint(view: &LogView<'_>) -> Option<Arc<CheckpointImage>> {
+        view.rfind_map(|e| match e.payload.as_ref() {
+            LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
+            _ => None,
+        })
+    }
+
+    fn decision(view: &LogView<'_>, txn: TxnId) -> Option<bool> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
+            _ => None,
+        })
     }
 
     #[test]
@@ -937,15 +685,15 @@ mod tests {
         let wal = PartitionWal::new(PartitionId(0), 20_000); // 20 ms
         let lsn = wal.append(LogPayload::Watermark { wp: 5 });
         assert!(!wal.is_durable(lsn));
-        assert!(wal.latest_durable_watermark().is_none());
+        assert!(watermark(&durable(&wal)).is_none());
         std::thread::sleep(Duration::from_millis(30));
         assert!(wal.is_durable(lsn));
-        assert_eq!(wal.latest_durable_watermark(), Some(5));
+        assert_eq!(watermark(&durable(&wal)), Some(5));
         assert_eq!(wal.persist_delay_us(), 20_000);
     }
 
     #[test]
-    fn replay_prefix_excludes_rolled_back_txns() {
+    fn replay_excludes_rolled_back_txns() {
         let wal = PartitionWal::new(PartitionId(0), 0);
         for (seq, ts) in [(1, 5u64), (2, 9), (3, 15)] {
             wal.append(LogPayload::TxnWrites {
@@ -955,7 +703,7 @@ mod tests {
             });
         }
         std::thread::sleep(Duration::from_millis(1));
-        let replayed = wal.replay_prefix(10);
+        let replayed = durable(&wal).replay(.., &ReplayBound::Ts(10));
         assert_eq!(replayed.len(), 2);
         assert!(replayed.iter().all(|(_, ts, _)| *ts < 10));
     }
@@ -981,7 +729,7 @@ mod tests {
             writes: writes(7),
         });
         std::thread::sleep(Duration::from_millis(1));
-        let replayed = wal.replay_prefix(100);
+        let replayed = durable(&wal).replay(.., &ReplayBound::Ts(100));
         assert_eq!(replayed.len(), 2, "duplicate txn entries are merged");
         assert_eq!(replayed[0].1, 5);
         assert_eq!(replayed[1].1, 9);
@@ -990,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_range_respects_lsn_cutoff_and_base() {
+    fn replay_respects_the_view_horizon_and_base() {
         let wal = PartitionWal::new(PartitionId(0), 0);
         for seq in 0..6u64 {
             wal.append(LogPayload::TxnWrites {
@@ -1001,12 +749,16 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(1));
         // Entries with lsn in [2, 4] only.
-        let replayed = wal.replay_range(2, &ReplayBound::Ts(u64::MAX), Some(4));
+        let replayed = wal.view(Some(4)).replay(2.., &ReplayBound::Ts(u64::MAX));
         assert_eq!(replayed.len(), 3);
         assert!(replayed.iter().all(|(t, _, _)| (2..=4).contains(&t.seq)));
         // Lsn bound is exclusive.
-        let replayed = wal.replay_range(0, &ReplayBound::Lsn(2), None);
+        let replayed = durable(&wal).replay(.., &ReplayBound::Lsn(2));
         assert_eq!(replayed.len(), 2);
+        // So is the upper end of a half-open LSN range.
+        assert_eq!(full(&wal).replay(1..3, &ReplayBound::Ts(u64::MAX)).len(), 2);
+        // A view through nothing exposes nothing.
+        assert!(wal.view(None).entries().is_empty());
     }
 
     #[test]
@@ -1031,7 +783,7 @@ mod tests {
         });
         wal.append(LogPayload::Watermark { wp: 8 });
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_watermark(), Some(8));
+        assert_eq!(watermark(&durable(&wal)), Some(8));
     }
 
     #[test]
@@ -1075,15 +827,10 @@ mod tests {
             image: Arc::clone(&new),
         });
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_checkpoint(None).unwrap().up_to_ts, 9);
+        assert_eq!(checkpoint(&durable(&wal)).unwrap().up_to_ts, 9);
         // A cutoff below the newer checkpoint falls back to the older image.
-        assert_eq!(
-            wal.latest_durable_checkpoint(Some(old_lsn))
-                .unwrap()
-                .up_to_ts,
-            1
-        );
-        assert_eq!(wal.latest_checkpoint().unwrap().1.up_to_ts, 9);
+        assert_eq!(checkpoint(&wal.view(Some(old_lsn))).unwrap().up_to_ts, 1);
+        assert_eq!(checkpoint(&full(&wal)).unwrap().up_to_ts, 9);
     }
 
     #[test]
@@ -1106,13 +853,14 @@ mod tests {
             writes: writes(3),
         });
         std::thread::sleep(Duration::from_millis(1));
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(8), Some(b));
+        let cancelled = wal.view(Some(b)).rolled_back();
+        let removed = wal.retain_replayable(0, &ReplayBound::Ts(8), Some(b), &cancelled);
         assert_eq!(removed, 2);
-        let left = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let left = durable(&wal).replay(.., &ReplayBound::Ts(u64::MAX));
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].0, txn(1));
         // Control entries survive the purge.
-        assert_eq!(wal.latest_durable_watermark(), Some(6));
+        assert_eq!(watermark(&durable(&wal)), Some(6));
         let _ = (a, c);
     }
 
@@ -1122,13 +870,13 @@ mod tests {
         let early = wal.append(LogPayload::Watermark { wp: 3 });
         wal.append(LogPayload::Watermark { wp: 8 });
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_watermark_at(None), Some(8));
+        assert_eq!(watermark(&durable(&wal)), Some(8));
         // A Wp appended after the crash-time durable LSN is never recovered.
-        assert_eq!(wal.latest_durable_watermark_at(Some(early)), Some(3));
+        assert_eq!(watermark(&wal.view(Some(early))), Some(3));
     }
 
     #[test]
-    fn fold_stop_lsn_matches_the_cloneful_scan() {
+    fn fold_stop_stops_at_the_first_uncovered_write_set() {
         let wal = PartitionWal::new(PartitionId(0), 0);
         wal.append(LogPayload::TxnWrites {
             txn: txn(1),
@@ -1145,8 +893,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         // Stops at the first uncovered TxnWrites, folding past control
         // entries before it.
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(10)), uncovered);
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(100)), wal.end_lsn());
+        assert_eq!(durable(&wal).fold_stop(0, &ReplayBound::Ts(10)), uncovered);
+        let end = wal.end_lsn();
+        assert_eq!(durable(&wal).fold_stop(0, &ReplayBound::Ts(100)), end);
+        // The fold never reaches past the view's horizon.
+        assert_eq!(wal.view(Some(0)).fold_stop(0, &ReplayBound::Ts(100)), 1);
     }
 
     #[test]
@@ -1165,134 +916,25 @@ mod tests {
         wal.append(LogPayload::TxnRolledBack { txn: txn(2) });
         std::thread::sleep(Duration::from_millis(1));
         // Replay skips the cancelled transaction whatever the bound says.
-        let replayed = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let replayed = durable(&wal).replay(.., &ReplayBound::Ts(u64::MAX));
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].0, txn(1));
         // The fold scan advances past the cancelled entry instead of
         // stopping on it, even under a bound that does not cover it.
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(6)), wal.end_lsn());
-        // Log repair drops the cancelled entry but keeps the marker.
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(u64::MAX), Some(wal.end_lsn()));
-        assert_eq!(removed, 1);
-        assert!(wal.rolled_back_txns().contains(&txn(2)));
-    }
-
-    #[test]
-    fn collect_rolled_back_returns_uncovered_unmarked_entries() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 9,
-            writes: writes(2),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(3),
-            ts: 12,
-            writes: writes(3),
-        });
-        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
-        // ts >= 8 is rolled back; txn 3 was already compensated earlier.
-        let doomed = wal.collect_rolled_back(&ReplayBound::Ts(8), None);
-        assert_eq!(doomed.len(), 1);
-        assert_eq!(doomed[0].0, txn(2));
-        // An upper cutoff (the log end captured at the crash agreement)
-        // excludes entries of transactions that committed afterwards.
-        assert!(wal
-            .collect_rolled_back(&ReplayBound::Ts(8), Some(1))
-            .is_empty());
-        // No durability filter: a volatile entry on a survivor still counts.
-        let wal = PartitionWal::new(PartitionId(0), 60_000);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(7),
-            ts: 9,
-            writes: writes(7),
-        });
-        assert_eq!(wal.collect_rolled_back(&ReplayBound::Ts(8), None).len(), 1);
-    }
-
-    #[test]
-    fn persist_window_bound_rolls_back_only_window_spanning_entries() {
-        let wal = PartitionWal::new(PartitionId(0), 30_000); // 30 ms persist
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 1,
-            writes: writes(1),
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        // Entry 1 is durable now; entry 2 is inside its window at the crash
-        // instant; entry 3 is appended after the crash (a post-crash commit
-        // the scheme reports Committed).
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 2,
-            writes: writes(2),
-        });
-        std::thread::sleep(Duration::from_millis(2));
-        let crash_instant = now_us();
-        std::thread::sleep(Duration::from_millis(2));
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(3),
-            ts: 3,
-            writes: writes(3),
-        });
-        let doomed = wal.collect_rolled_back(&ReplayBound::PersistWindow(crash_instant), None);
-        assert_eq!(doomed.len(), 1);
-        assert_eq!(doomed[0].0, txn(2));
-    }
-
-    #[test]
-    fn unresolved_commit_votes_track_decisions_installs_and_rollbacks() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let vote = |t: TxnId, commit: bool| LogPayload::CommitVote {
-            txn: t,
-            coordinator: PartitionId(0),
-            commit,
-        };
-        // txn 1: voted, decided — resolved.
-        wal.append(vote(txn(1), true));
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(1),
-            commit: true,
-        });
-        // txn 2: voted, writes installed — resolved (commit completed).
-        wal.append(vote(txn(2), true));
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 5,
-            writes: writes(2),
-        });
-        // txn 3: voted, rolled back by compensation — resolved.
-        wal.append(vote(txn(3), true));
-        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
-        // txn 4: voted, nothing else — in doubt.
-        let in_doubt_lsn = wal.append(vote(txn(4), true));
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.unresolved_commit_votes(None), vec![txn(4)]);
-        assert_eq!(wal.commit_vote_for(txn(4), None), Some(true));
-        assert_eq!(wal.commit_decision_for(txn(4), None), None);
-        assert_eq!(wal.commit_decision_for(txn(1), None), Some(true));
-        // Sealing the in-doubt vote with an abort decision resolves it.
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(4),
-            commit: false,
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(wal.unresolved_commit_votes(None).is_empty());
-        assert_eq!(wal.commit_decision_for(txn(4), None), Some(false));
-        // A cutoff below the seal re-exposes the in-doubt vote (crash-time
-        // durable horizon), and one below the vote hides it entirely.
+        let end = wal.end_lsn();
+        assert_eq!(durable(&wal).fold_stop(0, &ReplayBound::Ts(6)), end);
+        // A view that ends before the marker does not see the cancellation.
         assert_eq!(
-            wal.unresolved_commit_votes(Some(in_doubt_lsn)),
-            vec![txn(4)]
+            wal.view(Some(1))
+                .replay(.., &ReplayBound::Ts(u64::MAX))
+                .len(),
+            2
         );
-        assert!(wal
-            .unresolved_commit_votes(Some(in_doubt_lsn - 1))
-            .is_empty());
+        // Log repair drops the cancelled entry but keeps the marker.
+        let cancelled = durable(&wal).rolled_back();
+        let removed = wal.retain_replayable(0, &ReplayBound::Ts(u64::MAX), Some(end), &cancelled);
+        assert_eq!(removed, 1);
+        assert!(full(&wal).rolled_back().contains(&txn(2)));
     }
 
     #[test]
@@ -1310,28 +952,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         // Votes and decisions are control entries: the recovery-time purge
         // never drops them, whatever the bound.
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(0), Some(wal.end_lsn()));
+        let removed =
+            wal.retain_replayable(0, &ReplayBound::Ts(0), Some(wal.end_lsn()), &HashSet::new());
         assert_eq!(removed, 0);
-        assert_eq!(wal.commit_decision_for(txn(1), None), Some(false));
-    }
-
-    #[test]
-    fn epoch_boundary_lookup_filters_by_epoch() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let b1 = wal.append(LogPayload::EpochBoundary { epoch: 1 });
-        let b2 = wal.append(LogPayload::EpochBoundary { epoch: 2 });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_epoch_boundary(2, None), Some(b2));
-        assert_eq!(wal.latest_durable_epoch_boundary(1, None), Some(b1));
-        assert_eq!(wal.latest_durable_epoch_boundary(0, None), None);
-        // A cutoff below the newer boundary falls back to the older one.
-        assert_eq!(wal.latest_durable_epoch_boundary(2, Some(b1)), Some(b1));
-        // The durability-blind variant (survivor-side rollback bound) agrees
-        // here and also sees boundaries still inside their persist window.
-        assert_eq!(wal.latest_epoch_boundary(2), Some(b2));
-        let slow = PartitionWal::new(PartitionId(0), 60_000);
-        let b = slow.append(LogPayload::EpochBoundary { epoch: 1 });
-        assert_eq!(slow.latest_durable_epoch_boundary(1, None), None);
-        assert_eq!(slow.latest_epoch_boundary(1), Some(b));
+        assert_eq!(decision(&durable(&wal), txn(1)), Some(false));
     }
 }

@@ -30,11 +30,12 @@
 //! * **Quorum durability.** `append` returns an LSN immediately, but
 //!   [`ReplicatedLog::durable_lsn`] is the **quorum-acked** LSN: the highest
 //!   LSN persisted by a majority of replicas (the median replica for RF 3).
-//!   Every durable read — watermark lookup, checkpoint restore, bounded
-//!   replay, checkpoint folding, truncation — is clamped to that horizon,
-//!   so nothing is ever treated as durable that a quorum could not
-//!   reproduce. With RF 1 the quorum is the single copy and behaviour is
-//!   identical to the old `PartitionWal`.
+//!   Every durable read goes through [`ReplicatedLog::durable_view`], a
+//!   [`LogView`] clamped to that horizon in one place, so nothing is ever
+//!   treated as durable that a quorum could not reproduce; the
+//!   durability-blind [`ReplicatedLog::full_view`] serves survivor-side
+//!   compensation and the checkpoint writer. With RF 1 the quorum is the
+//!   single copy and behaviour is identical to the old `PartitionWal`.
 //! * **Terms and leader hand-off.** The log carries a leadership term,
 //!   stamped on every entry. A crash bumps the term and moves leadership to
 //!   the **deterministic successor**: the first replica after the failed
@@ -52,14 +53,13 @@
 //!   the replica set returns to full strength and can absorb further
 //!   crashes.
 
-use crate::log::{CheckpointImage, LogEntry, LogPayload, PartitionWal, ReplayBound, ReplayedTxn};
+use crate::log::{LogEntry, LogPayload, LogView, PartitionWal, ReplayBound};
 use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
-use primo_common::{PartitionId, Ts, TxnId};
+use primo_common::PartitionId;
 use primo_net::SimNetwork;
 use primo_trace::{FlightRecorder, TraceEventKind};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -371,179 +371,56 @@ impl ReplicatedLog {
         self.durable_lsn().map(|d| d >= lsn).unwrap_or(false)
     }
 
-    /// The latest quorum-durable watermark record (§5.2 — what the new
-    /// leader retrieves from its replicated log).
-    pub fn latest_durable_watermark(&self) -> Option<Ts> {
-        self.latest_durable_watermark_at(None)
+    /// The quorum-durable read surface: a [`LogView`] of the leader replica
+    /// exposing exactly the entries at or below the quorum-acked LSN, and at
+    /// or below `cutoff_lsn` when given (recovery passes the quorum LSN
+    /// captured at crash time). This constructor is the only place the
+    /// quorum clamp is applied, so every durable read — the §5.2 watermark
+    /// lookup, checkpoint restore, bounded replay, the checkpoint fold,
+    /// verdict and in-doubt lookups — is a closure over this view, and an
+    /// entry the old leader persisted locally that never reached a majority
+    /// is honestly lost. When the live quorum is broken the cutoff is
+    /// trusted as-is — every entry below it reached a majority when it was
+    /// captured; with neither a quorum nor a cutoff the view is empty.
+    ///
+    /// The view holds the leader replica's log lock: drop it before
+    /// appending to or mutating this log, and never hold two views of one
+    /// log at once.
+    pub fn durable_view(&self, cutoff_lsn: Option<u64>) -> LogView<'_> {
+        let through = self.core.quorum_cutoff(cutoff_lsn);
+        self.core.leader_replica().view(through)
     }
 
-    /// [`ReplicatedLog::latest_durable_watermark`] restricted to entries at
-    /// or below `cutoff_lsn` (recovery passes the quorum LSN captured at
-    /// crash time).
-    pub fn latest_durable_watermark_at(&self, cutoff_lsn: Option<u64>) -> Option<Ts> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_watermark_at(Some(cut))
-    }
-
-    /// The newest checkpoint image that is quorum-durable and at or below
-    /// `cutoff_lsn`.
-    pub fn latest_durable_checkpoint(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<Arc<CheckpointImage>> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_checkpoint(Some(cut))
-    }
-
-    /// The latest (checkpoint-entry LSN, image) pair regardless of
-    /// durability — the checkpoint writer folds forward from here.
-    pub fn latest_checkpoint(&self) -> Option<(u64, Arc<CheckpointImage>)> {
+    /// Every entry of the leader's log, durable or not: survivor-side
+    /// compensation (a partition that did not crash lost nothing) and the
+    /// checkpoint writer, which folds forward from the newest image whether
+    /// or not it is durable yet. Same locking rule as
+    /// [`ReplicatedLog::durable_view`].
+    pub fn full_view(&self) -> LogView<'_> {
         self.core.sync_replicas();
-        self.core.leader_replica().latest_checkpoint()
-    }
-
-    /// LSN of the newest quorum-durable epoch boundary with epoch at most
-    /// `max_epoch`, at or below `cutoff_lsn` (COCO recovery / checkpoint
-    /// bound — recovery passes the crash-time quorum LSN so the lookup
-    /// stays valid even when the live quorum broke mid-recovery, exactly
-    /// like [`ReplicatedLog::replay_range`]).
-    pub fn latest_durable_epoch_boundary(
-        &self,
-        max_epoch: u64,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<u64> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_epoch_boundary(max_epoch, Some(cut))
-    }
-
-    /// Durability-blind epoch-boundary lookup (survivor-side rollback
-    /// bound: a surviving partition's log lost nothing).
-    pub fn latest_epoch_boundary(&self, max_epoch: u64) -> Option<u64> {
-        self.core.sync_replicas();
-        self.core.leader_replica().latest_epoch_boundary(max_epoch)
-    }
-
-    /// Replay all quorum-durable transaction writes with `ts < up_to`.
-    pub fn replay_prefix(&self, up_to: Ts) -> Vec<ReplayedTxn> {
-        self.replay_range(0, &ReplayBound::Ts(up_to), None)
-    }
-
-    /// Quorum-bounded replay: like `PartitionWal::replay_range`, but only
-    /// entries at or below the quorum-acked LSN count as durable — an entry
-    /// the old leader persisted locally that never reached a majority is
-    /// honestly lost.
-    pub fn replay_range(
-        &self,
-        from_lsn: u64,
-        bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
-    ) -> Vec<ReplayedTxn> {
-        match self.core.quorum_cutoff(cutoff_lsn) {
-            Some(cut) => self
-                .core
-                .leader_replica()
-                .replay_range(from_lsn, bound, Some(cut)),
-            None => Vec::new(),
-        }
-    }
-
-    /// The newest quorum-durable [`LogPayload::CommitDecision`] verdict for
-    /// `txn` at or below `cutoff_lsn` (Paxos Commit verdict assembly).
-    pub fn commit_decision_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .commit_decision_for(txn, Some(cut))
-    }
-
-    /// The quorum-durable [`LogPayload::CommitVote`] for `txn` at or below
-    /// `cutoff_lsn`, if any.
-    pub fn commit_vote_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core.leader_replica().commit_vote_for(txn, Some(cut))
-    }
-
-    /// Transaction ids with a quorum-durable prepare vote but no resolution
-    /// at or below `cutoff_lsn` — the in-doubt set recovery terminates (see
-    /// [`PartitionWal::unresolved_commit_votes`]).
-    pub fn unresolved_commit_votes(&self, cutoff_lsn: Option<u64>) -> Vec<TxnId> {
-        match self.core.quorum_cutoff(cutoff_lsn) {
-            Some(cut) => self
-                .core
-                .leader_replica()
-                .unresolved_commit_votes(Some(cut)),
-            None => Vec::new(),
-        }
-    }
-
-    /// Transaction ids with a rollback marker anywhere in the log,
-    /// regardless of durability.
-    pub fn rolled_back_txns(&self) -> HashSet<TxnId> {
-        self.core.sync_replicas();
-        self.core.leader_replica().rolled_back_txns()
-    }
-
-    /// The `TxnWrites` entries `bound` does not cover and no marker cancels
-    /// yet — survivor-side compensation input. No durability filter (this
-    /// partition did not crash, so every replica holds the full log).
-    pub fn collect_rolled_back(
-        &self,
-        bound: &ReplayBound,
-        upper_cutoff: Option<u64>,
-    ) -> Vec<ReplayedTxn> {
-        self.core.sync_replicas();
-        self.core
-            .leader_replica()
-            .collect_rolled_back(bound, upper_cutoff)
-    }
-
-    /// Clone the suffix of the (leader's) log starting at `from_lsn`.
-    pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
-        self.core.sync_replicas();
-        self.core.leader_replica().entries_from(from_lsn)
-    }
-
-    /// First LSN at or after `from_lsn` that a checkpoint fold may **not**
-    /// absorb — bounded additionally by the quorum horizon, so images never
-    /// bake in an entry a quorum could not reproduce.
-    pub fn fold_stop_lsn(&self, from_lsn: u64, bound: &ReplayBound) -> u64 {
-        match self.durable_lsn() {
-            Some(q) => self
-                .core
-                .leader_replica()
-                .fold_stop_lsn(from_lsn, bound)
-                .min(q + 1)
-                .max(from_lsn),
-            None => from_lsn,
-        }
+        self.core.leader_replica().view(Some(u64::MAX))
     }
 
     /// Recovery-time log repair on **every replica**: drop the write-sets
     /// replay did not apply so no later fold can resurrect them. The
-    /// cancelled-transaction set is computed once, from the leader's view
-    /// of marker durability, and applied uniformly — replicas with slower
-    /// disks must not keep entries the leader purged (they would end up
-    /// *longer* than the leader, confusing the longest-log election and
-    /// un-healable by repair). Returns the number of entries removed from
-    /// the leader's copy.
+    /// cancelled-transaction set comes from the same durable view replay
+    /// reads and is applied uniformly — replicas with slower disks must not
+    /// keep entries the leader purged (they would end up *longer* than the
+    /// leader, confusing the longest-log election and un-healable by
+    /// repair). Returns the number of entries removed from the leader's
+    /// copy.
     pub fn retain_replayable(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
         cutoff_lsn: Option<u64>,
     ) -> usize {
+        let cancelled = self.durable_view(cutoff_lsn).rolled_back();
         self.core.with_sequencer_flushed(|core| {
             let leader = core.leader.load(Ordering::Acquire);
-            let rolled_back = core.replicas[leader].durable_rolled_back(cutoff_lsn);
             let mut removed = 0;
             for (i, replica) in core.replicas.iter().enumerate() {
-                let n = replica.retain_replayable_with(from_lsn, bound, cutoff_lsn, &rolled_back);
+                let n = replica.retain_replayable(from_lsn, bound, cutoff_lsn, &cancelled);
                 if i == leader {
                     removed = n;
                 }
@@ -571,10 +448,13 @@ impl ReplicatedLog {
     /// Truncate everything covered by the newest **quorum-durable**
     /// checkpoint, on every replica.
     pub fn truncate_to_durable_checkpoint(&self) -> usize {
-        match self.latest_durable_checkpoint(None) {
-            Some(image) => self.truncate_before(image.base_lsn),
-            None => 0,
-        }
+        let base = self
+            .durable_view(None)
+            .rfind_map(|e| match e.payload.as_ref() {
+                LogPayload::Checkpoint { image } => Some(image.base_lsn),
+                _ => None,
+            });
+        base.map_or(0, |lsn| self.truncate_before(lsn))
     }
 
     /// Discard one replica's disk (entries dropped, LSN counter kept so the
@@ -626,7 +506,10 @@ impl ReplicatedLog {
     pub fn repair_replicas(&self) -> usize {
         self.core.with_sequencer_flushed(|core| {
             let leader = core.leader.load(Ordering::Acquire);
-            let authority = core.replicas[leader].entries_from(0);
+            let authority = core.replicas[leader]
+                .view(Some(u64::MAX))
+                .entries()
+                .to_vec();
             let next_lsn = core.replicas[leader].end_lsn();
             let mut repaired = 0;
             for (i, replica) in core.replicas.iter().enumerate() {
@@ -914,9 +797,7 @@ impl LogCore {
     fn quorum_cutoff(&self, cutoff_lsn: Option<u64>) -> Option<u64> {
         match (self.durable_lsn(), cutoff_lsn) {
             (Some(q), Some(c)) => Some(c.min(q)),
-            (Some(q), None) => Some(q),
-            (None, Some(c)) => Some(c),
-            (None, None) => None,
+            (q, c) => q.or(c),
         }
     }
 
@@ -980,7 +861,7 @@ impl LogCore {
 mod tests {
     use super::*;
     use primo_common::config::LoggingScheme;
-    use primo_common::{FastRng, TableId, Value};
+    use primo_common::{FastRng, TableId, Ts, TxnId, Value};
     use std::time::Duration;
 
     fn rf3(persist_us: u64, replica_us: u64, hop_us: u64) -> ReplicatedLog {
@@ -1002,6 +883,50 @@ mod tests {
 
     fn txn(seq: u64) -> TxnId {
         TxnId::new(PartitionId(0), seq)
+    }
+
+    fn watermark(view: &LogView<'_>) -> Option<Ts> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::Watermark { wp } => Some(wp),
+            _ => None,
+        })
+    }
+
+    fn vote(view: &LogView<'_>, txn: TxnId) -> Option<bool> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
+            _ => None,
+        })
+    }
+
+    fn decision(view: &LogView<'_>, txn: TxnId) -> Option<bool> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
+            _ => None,
+        })
+    }
+
+    /// Voted transactions with no decision, install or rollback marker in
+    /// the view (the in-doubt set recovery terminates).
+    fn unresolved(view: &LogView<'_>) -> Vec<TxnId> {
+        let resolves = |e: &LogEntry, t: TxnId| match *e.payload {
+            LogPayload::CommitDecision { txn, .. }
+            | LogPayload::TxnWrites { txn, .. }
+            | LogPayload::TxnRolledBack { txn } => txn == t,
+            _ => false,
+        };
+        view.entries()
+            .iter()
+            .filter_map(|e| match *e.payload {
+                LogPayload::CommitVote { txn, .. } => Some(txn),
+                _ => None,
+            })
+            .filter(|t| !view.entries().iter().any(|e| resolves(e, *t)))
+            .collect()
+    }
+
+    fn all_entries(log: &ReplicatedLog) -> Vec<LogEntry> {
+        log.full_view().entries().to_vec()
     }
 
     fn put(seq: u64, ts: Ts) -> LogPayload {
@@ -1064,10 +989,13 @@ mod tests {
         log.append(LogPayload::Watermark { wp: 7 });
         std::thread::sleep(Duration::from_millis(2));
         // Locally durable on the leader, but no quorum yet.
-        assert_eq!(log.latest_durable_watermark(), None);
-        assert!(log.replay_prefix(u64::MAX).is_empty());
+        assert_eq!(watermark(&log.durable_view(None)), None);
+        assert!(log
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX))
+            .is_empty());
         std::thread::sleep(Duration::from_millis(35));
-        assert_eq!(log.latest_durable_watermark(), Some(7));
+        assert_eq!(watermark(&log.durable_view(None)), Some(7));
     }
 
     #[test]
@@ -1085,10 +1013,9 @@ mod tests {
         assert_eq!(log.term(), 2);
         // Entries appended now carry the new term.
         let lsn = log.append(put(2, 6));
-        let entry = log
-            .entries_from(lsn)
+        let entry = all_entries(&log)
             .into_iter()
-            .next()
+            .find(|e| e.lsn >= lsn)
             .expect("appended entry");
         assert_eq!(entry.term, 2);
     }
@@ -1102,11 +1029,16 @@ mod tests {
         log.fail_over(true); // leader disk discarded
         assert_eq!(log.replica(0).len(), 0, "the wiped copy is gone");
         assert_eq!(
-            log.latest_durable_watermark(),
+            watermark(&log.durable_view(None)),
             Some(9),
             "the surviving quorum still serves the history"
         );
-        assert_eq!(log.replay_prefix(u64::MAX).len(), 1);
+        assert_eq!(
+            log.durable_view(None)
+                .replay(.., &ReplayBound::Ts(u64::MAX))
+                .len(),
+            1
+        );
         // Repair re-seeds the wiped replica from the new leader.
         assert_eq!(log.repair_replicas(), 1);
         assert_eq!(log.replica(0).len(), 2);
@@ -1154,12 +1086,21 @@ mod tests {
             Some(1),
             "the two fast replicas form the quorum"
         );
+        let view = log.durable_view(None);
         assert_eq!(
-            log.replay_prefix(u64::MAX).len(),
+            view.replay(.., &ReplayBound::Ts(u64::MAX)).len(),
             1,
             "the quorum-acked write-set must be replayable through the slow leader"
         );
-        assert_eq!(log.latest_durable_watermark(), Some(9));
+        assert_eq!(watermark(&view), Some(9));
+        // The checkpoint fold reads the same horizon: it folds the
+        // quorum-acked write-set instead of stopping at the leader's local
+        // persist delay.
+        let stop = view.fold_stop(0, &ReplayBound::Ts(u64::MAX));
+        assert_eq!(stop, 2, "the fold reaches the quorum horizon");
+        let folded = view.replay(0..stop, &ReplayBound::Ts(u64::MAX));
+        assert_eq!(folded.len(), 1);
+        assert_eq!(folded[0].0, txn(1));
     }
 
     #[test]
@@ -1178,13 +1119,17 @@ mod tests {
         // serve the acknowledged history from the intact leader (recovery
         // passes the crash-time quorum LSN exactly like this).
         assert_eq!(
-            log.replay_range(0, &ReplayBound::Ts(u64::MAX), cutoff)
+            log.durable_view(cutoff)
+                .replay(.., &ReplayBound::Ts(u64::MAX))
                 .len(),
             1,
             "the intact replica must serve everything below the old quorum"
         );
         // Unbounded durable reads stay honest about the broken quorum.
-        assert!(log.replay_prefix(u64::MAX).is_empty());
+        assert!(log
+            .durable_view(None)
+            .replay(.., &ReplayBound::Ts(u64::MAX))
+            .is_empty());
     }
 
     #[test]
@@ -1194,7 +1139,12 @@ mod tests {
         let lsn = log.append(put(1, 5));
         std::thread::sleep(Duration::from_millis(1));
         assert_eq!(log.durable_lsn(), Some(lsn));
-        assert_eq!(log.replay_prefix(10).len(), 1);
+        assert_eq!(
+            log.durable_view(None)
+                .replay(.., &ReplayBound::Ts(10))
+                .len(),
+            1
+        );
         assert_eq!(log.fail_over(false), 0, "a ring of one elects itself");
         assert_eq!(log.leader_changes(), 0);
         assert!(!log.is_empty());
@@ -1267,7 +1217,7 @@ mod tests {
         }
         let total = THREADS * PER_THREAD;
         assert_eq!(log.end_lsn(), total);
-        let leader_entries = log.entries_from(0);
+        let leader_entries = all_entries(&log);
         assert_eq!(leader_entries.len(), total as usize);
         // Dense gap-free LSNs, monotone append timestamps.
         let mut last_ts_per_key = vec![0u64; THREADS as usize];
@@ -1288,7 +1238,7 @@ mod tests {
         // `replica` accessor drains): same LSN, timestamp, term, and the
         // very same shared payload allocation.
         for r in 0..3 {
-            let copy = log.replica(r).entries_from(0);
+            let copy = log.replica(r).view(Some(u64::MAX)).entries().to_vec();
             assert_eq!(copy.len(), leader_entries.len(), "replica {r} length");
             for (a, b) in copy.iter().zip(&leader_entries) {
                 assert_eq!(a.lsn, b.lsn);
@@ -1325,7 +1275,8 @@ mod tests {
         // …but the crash-time horizon says nothing was acknowledged, so
         // recovery-style bounded replay loses the tail honestly.
         assert!(log
-            .replay_range(0, &ReplayBound::Ts(u64::MAX), cutoff)
+            .durable_view(cutoff)
+            .replay(.., &ReplayBound::Ts(u64::MAX))
             .is_empty());
         assert_eq!(log.durable_lsn(), None);
     }
@@ -1342,8 +1293,7 @@ mod tests {
             assert_eq!(log.replica(i).len(), 4, "replica {i}");
         }
         // Batch order = LSN order.
-        let entries = log.entries_from(1);
-        let ts: Vec<Ts> = entries
+        let ts: Vec<Ts> = all_entries(&log)[1..]
             .iter()
             .map(|e| match e.payload.as_ref() {
                 LogPayload::TxnWrites { ts, .. } => *ts,
@@ -1363,21 +1313,21 @@ mod tests {
             commit: true,
         });
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(log.commit_vote_for(t, None), Some(true));
-        assert_eq!(log.unresolved_commit_votes(None), vec![t]);
+        assert_eq!(vote(&log.durable_view(None), t), Some(true));
+        assert_eq!(unresolved(&log.durable_view(None)), vec![t]);
         // The coordinator's replica loses its disk: the quorum still holds
         // the vote, so any survivor can terminate the in-doubt transaction.
         let cutoff = log.durable_lsn();
         log.fail_over(true);
-        assert_eq!(log.commit_vote_for(t, cutoff), Some(true));
-        assert_eq!(log.unresolved_commit_votes(cutoff), vec![t]);
+        assert_eq!(vote(&log.durable_view(cutoff), t), Some(true));
+        assert_eq!(unresolved(&log.durable_view(cutoff)), vec![t]);
         log.append(LogPayload::CommitDecision {
             txn: t,
             commit: false,
         });
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(log.commit_decision_for(t, None), Some(false));
-        assert!(log.unresolved_commit_votes(None).is_empty());
+        assert_eq!(decision(&log.durable_view(None), t), Some(false));
+        assert!(unresolved(&log.durable_view(None)).is_empty());
     }
 
     #[test]
@@ -1389,5 +1339,109 @@ mod tests {
             0,
             "uncontended appends never touch the clock"
         );
+    }
+
+    #[test]
+    fn durable_view_exposes_exactly_the_clamped_prefix() {
+        // Seeded model check of the one quorum clamp: random payload mixes,
+        // disk losses, fail-overs, repairs and truncations over RF 3, with a
+        // random cutoff after every step. Every replica persists either
+        // instantly or after an hour, so each copy's durable prefix — and
+        // with it the quorum — is independent of wall-clock timing and is
+        // recomputed here from the model instead of read back from the log.
+        const HOUR_US: u64 = 3_600_000_000;
+        for seed in 0..16u64 {
+            let mut rng = FastRng::new(0x5EED_0000 + seed);
+            let delay = |rng: &mut FastRng| if rng.next_below(3) == 0 { HOUR_US } else { 0 };
+            let (leader_us, remote_us) = (delay(&mut rng), delay(&mut rng));
+            let log = rf3(leader_us, remote_us, 0);
+            let mut wiped = [false; 3];
+            for step in 0..60u64 {
+                match rng.next_below(12) {
+                    0 => {
+                        let i = rng.next_below(3) as usize;
+                        log.wipe_replica(i);
+                        wiped[i] = true;
+                    }
+                    1 => {
+                        let discard = rng.next_below(2) == 0;
+                        if discard {
+                            wiped[log.leader_index()] = true;
+                        }
+                        log.fail_over(discard);
+                    }
+                    2 => {
+                        log.repair_replicas();
+                        wiped = [false; 3];
+                    }
+                    3 => {
+                        log.truncate_before(rng.next_below(log.end_lsn() + 1));
+                    }
+                    _ => {
+                        let t = txn(step);
+                        log.append(match rng.next_below(5) {
+                            0 => LogPayload::Watermark { wp: step },
+                            1 => LogPayload::TxnRolledBack { txn: txn(step / 2) },
+                            2 => LogPayload::CommitVote {
+                                txn: t,
+                                coordinator: PartitionId(0),
+                                commit: true,
+                            },
+                            _ => put(step, step + 1),
+                        });
+                    }
+                }
+                // Model: an intact copy votes its last entry if its disk is
+                // instant, nothing otherwise; the quorum is the 2nd-highest
+                // vote.
+                let mut votes: Vec<Option<u64>> = (0..3)
+                    .map(|i| {
+                        let instant = if i == 0 {
+                            leader_us == 0
+                        } else {
+                            remote_us == 0
+                        };
+                        let last = log
+                            .replica(i)
+                            .view(Some(u64::MAX))
+                            .entries()
+                            .last()
+                            .map(|e| e.lsn);
+                        if wiped[i] || !instant {
+                            None
+                        } else {
+                            last
+                        }
+                    })
+                    .collect();
+                votes.sort_by(|a, b| b.cmp(a));
+                let quorum = votes[1];
+                assert_eq!(log.durable_lsn(), quorum, "seed {seed} step {step}: quorum");
+                let cutoff = match rng.next_below(3) {
+                    0 => None,
+                    _ => Some(rng.next_below(log.end_lsn() + 2)),
+                };
+                let through = match (quorum, cutoff) {
+                    (Some(q), Some(c)) => Some(q.min(c)),
+                    (Some(q), None) => Some(q),
+                    (None, c) => c,
+                };
+                let expected: Vec<u64> = all_entries(&log)
+                    .iter()
+                    .map(|e| e.lsn)
+                    .filter(|lsn| through.is_some_and(|last| *lsn <= last))
+                    .collect();
+                let exposed: Vec<u64> = log
+                    .durable_view(cutoff)
+                    .entries()
+                    .iter()
+                    .map(|e| e.lsn)
+                    .collect();
+                assert_eq!(
+                    exposed, expected,
+                    "seed {seed} step {step}: quorum {quorum:?}, cutoff {cutoff:?}"
+                );
+            }
+        }
     }
 }

@@ -821,7 +821,13 @@ mod tests {
         let wm = WatermarkCommit::new(2, cfg, bus, wals.clone());
         std::thread::sleep(Duration::from_millis(50));
         // Published watermarks land in the partition's durable log (§5.1).
-        let logged = wals[0].latest_durable_watermark().expect("Wp logged");
+        let logged = wals[0]
+            .durable_view(None)
+            .rfind_map(|e| match *e.payload {
+                LogPayload::Watermark { wp } => Some(wp),
+                _ => None,
+            })
+            .expect("Wp logged");
         assert!(logged > 0);
         assert!(logged <= wm.partition_watermark(PartitionId(0)));
         // Crash + recover: the partition watermark continues from the

@@ -15,6 +15,8 @@
 //! (CI runs 8 in release); the default of 1 keeps the debug tier-1 run
 //! cheap.
 
+use primo_repro::recovery::in_doubt_votes;
+use primo_repro::wal::LogPayload;
 use primo_repro::{
     CommitMode, CrashPlan, Experiment, LoggingScheme, PartitionId, Primo, ProtocolKind, Scale,
     TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
@@ -255,14 +257,18 @@ fn votes_and_decisions_survive_leader_disk_loss() {
         .expect("recovery ran");
     let log = &primo.cluster().partition(PartitionId(1)).log;
     for txn in &decided {
+        let decision = log.durable_view(None).rfind_map(|e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == *txn => Some(commit),
+            _ => None,
+        });
         assert_eq!(
-            log.commit_decision_for(*txn, None),
+            decision,
             Some(true),
             "decision for {txn} lost with the leader's disk"
         );
     }
     assert!(
-        log.unresolved_commit_votes(None).is_empty(),
+        in_doubt_votes(&log.durable_view(None)).is_empty(),
         "every logged vote must still be covered by a decision after fail-over"
     );
     assert_pairs_consistent(&primo, "disk loss");

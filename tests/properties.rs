@@ -7,7 +7,7 @@
 //! exactly.
 
 use primo_repro::storage::{LockMode, LockPolicy, LockRequestResult, Record};
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal};
+use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal, ReplayBound};
 use primo_repro::{FastRng, PartitionId, Primo, TableId, TxnId, Value, ZipfGen};
 
 #[test]
@@ -134,7 +134,9 @@ fn wal_replay_is_a_prefix() {
             });
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let replayed = wal.replay_prefix(cut);
+        let replayed = wal
+            .view(wal.durable_lsn())
+            .replay(.., &ReplayBound::Ts(cut));
         let expected = ts_list.iter().filter(|t| **t < cut).count();
         assert_eq!(replayed.len(), expected);
         assert!(replayed.iter().all(|(_, ts, _)| *ts < cut));

@@ -196,7 +196,8 @@ fn byte_identical_after_crash(kind: ProtocolKind, scheme: LoggingScheme, discard
                 .partition(target)
                 .log
                 .replica(0)
-                .entries_from(0)
+                .view(Some(u64::MAX))
+                .entries()
                 .iter()
                 .all(|e| !matches!(&*e.payload, LogPayload::TxnWrites { .. })),
             "the dead leader's local replica still holds transaction history"
@@ -516,7 +517,7 @@ fn replaying_any_durable_prefix_twice_equals_once() {
         } else {
             ReplayBound::Lsn(rng.next_below(num_txns + 1))
         };
-        let txns = wal.replay_range(0, &bound, None);
+        let txns = wal.view(wal.durable_lsn()).replay(.., &bound);
         // Sorted by commit timestamp, deduplicated by txn.
         for pair in txns.windows(2) {
             assert!(pair[0].1 <= pair[1].1, "case {case}: not ts-sorted");
@@ -568,10 +569,18 @@ fn checkpoints_bound_replay_and_log_growth() {
     // One more pass so the newest durable checkpoint truncates its prefix.
     primo.checkpoint_all();
     let wal = &primo.cluster().partition(PartitionId(0)).log;
-    let image = wal.latest_checkpoint().expect("images exist").1;
+    let image = wal
+        .full_view()
+        .rfind_map(|e| match e.payload.as_ref() {
+            LogPayload::Checkpoint { image } => Some(image.clone()),
+            _ => None,
+        })
+        .expect("images exist");
     assert!(image.len() >= 8);
     // Replay needed after the last checkpoint is (close to) nothing.
-    let pending = wal.replay_range(image.base_lsn, &ReplayBound::Ts(u64::MAX), None);
+    let pending = wal
+        .durable_view(None)
+        .replay(image.base_lsn.., &ReplayBound::Ts(u64::MAX));
     assert!(
         pending.len() <= 2,
         "folded log should leave almost nothing to replay, got {}",
@@ -832,7 +841,8 @@ fn crash_abort_rolls_back_surviving_partitions_for_all_protocols_and_schemes() {
                             .cluster()
                             .partition(SURVIVOR)
                             .log
-                            .rolled_back_txns()
+                            .full_view()
+                            .rolled_back()
                             .contains(&waiter.txn),
                         "{label}: the rollback marker must survive on the quorum"
                     );
@@ -901,7 +911,8 @@ fn survivor_crash_after_compensation_does_not_resurrect_undone_writes() {
             .cluster()
             .partition(SURVIVOR)
             .log
-            .rolled_back_txns()
+            .full_view()
+            .rolled_back()
             .contains(&waiter.txn),
         "the rollback decision is sealed in the survivor's log"
     );
