@@ -12,6 +12,7 @@
 //! cargo bench -p primo-bench
 //! ```
 
+use primo_bench::wal_fixtures::{replicated_log, write_payload, OldFanout};
 use primo_repro::recovery::apply_replay;
 use primo_repro::storage::{InsertSlot, LockMode, LockPolicy, PartitionStore, Record, Table};
 use primo_repro::wal::{
@@ -96,15 +97,7 @@ fn bench_wal_append() {
     let mut seq = 0u64;
     bench("wal/append_txn_writes", || {
         seq += 1;
-        wal.append(LogPayload::TxnWrites {
-            txn: TxnId::new(PartitionId(0), seq),
-            ts: seq,
-            writes: vec![LoggedWrite::put(
-                TableId(0),
-                seq % 1_024,
-                Value::from_u64(seq),
-            )],
-        });
+        wal.append(write_payload(seq));
     });
 }
 
@@ -117,59 +110,6 @@ fn bench_wal_append() {
 /// 1 / 4 / 16 appender threads.
 fn bench_contended_append() {
     use std::time::Instant;
-
-    /// The pre-pipeline append path: one lock, `RF` replica appends inside
-    /// it (exactly the old `ReplicatedLog::append` body).
-    struct OldFanout {
-        lock: std::sync::Mutex<()>,
-        replicas: Vec<PartitionWal>,
-    }
-
-    impl OldFanout {
-        fn rf3() -> Self {
-            OldFanout {
-                lock: std::sync::Mutex::new(()),
-                replicas: (0..3)
-                    .map(|i| PartitionWal::new(PartitionId(0), if i == 0 { 100 } else { 700 }))
-                    .collect(),
-            }
-        }
-
-        fn append(&self, payload: LogPayload) -> u64 {
-            let payload = Arc::new(payload);
-            let _guard = self.lock.lock().unwrap();
-            for replica in &self.replicas[1..] {
-                replica.append_in_term(0, Arc::clone(&payload));
-            }
-            self.replicas[0].append_in_term(0, payload)
-        }
-    }
-
-    fn pipelined_rf3() -> ReplicatedLog {
-        ReplicatedLog::new(
-            PartitionId(0),
-            primo_repro::WalConfig {
-                replication_factor: 3,
-                persist_delay_us: 100,
-                replica_persist_delay_us: Some(200),
-                ..primo_repro::WalConfig::default()
-            },
-            500,
-            None,
-        )
-    }
-
-    fn payload(seq: u64) -> LogPayload {
-        LogPayload::TxnWrites {
-            txn: TxnId::new(PartitionId(0), seq),
-            ts: seq + 1,
-            writes: vec![LoggedWrite::put(
-                TableId(0),
-                seq % 1_024,
-                Value::from_u64(seq),
-            )],
-        }
-    }
 
     fn contended(name: &str, threads: u64, append: impl Fn(u64) -> u64 + Sync) {
         const TOTAL: u64 = 64_000;
@@ -195,13 +135,13 @@ fn bench_contended_append() {
         contended(
             &format!("wal/contended_append_rf3_t{threads}_old"),
             threads,
-            |seq| old.append(payload(seq)),
+            |seq| old.append(write_payload(seq)),
         );
-        let new = pipelined_rf3();
+        let new = replicated_log(3);
         contended(
             &format!("wal/contended_append_rf3_t{threads}_new"),
             threads,
-            |seq| new.append(payload(seq)),
+            |seq| new.append(write_payload(seq)),
         );
     }
 }

@@ -1,12 +1,12 @@
 //! Emit `BENCH_PR10.json`: the standing per-PR performance trajectory matrix.
 //!
-//! Unlike the one-off `bench_pr6` snapshot, this emitter is the **fixed
-//! matrix** ROADMAP.md asks for — the same cells re-run (and re-committed)
-//! every PR so regressions show up as a diff at the repo root:
+//! The **fixed matrix** ROADMAP.md asks for — the same cells re-run (and
+//! re-committed) every PR so regressions show up as a diff at the repo root:
 //!
 //! * `contended_append` — the commit-critical-section cost of
-//!   [`ReplicatedLog::append`] under contention: replication factor
-//!   1 / 3 / 5 × 1 / 4 / 16 appender threads, reported as ns per append of
+//!   [`ReplicatedLog::append`](primo_repro::wal::ReplicatedLog::append)
+//!   under contention: replication factor 1 / 3 / 5 × 1 / 4 / 16 appender
+//!   threads, reported as ns per append of
 //!   wall-clock across all threads. This is the lock every committer holds
 //!   while its write locks are still pinned, so it is the single most
 //!   throughput-sensitive number in the system. Measured with the flight
@@ -29,11 +29,26 @@
 //!   and the distributed-only mean/p99 latency — the p99 gap widens with the
 //!   one-way latency because the fan-out pays the slowest partition once
 //!   instead of one round trip per record.
+//! * `version_chain` — version-chain costs measured directly on a
+//!   [`Record`]: `version_push_ns` (install a new committed version, pushing
+//!   the previous one into the bounded history chain) and
+//!   `snapshot_lookup_ns` (resolve a snapshot read against the chain at a
+//!   mid-history horizon).
+//! * `read_only_scaling` — every protocol × group-commit scheme at a 95 %
+//!   YCSB read ratio, run twice: MVCC snapshot reads enabled (declared
+//!   read-only transactions resolve lock-free at the durable group-commit
+//!   horizon) and disabled (the validate-everything baseline). Each cell
+//!   reports committed TPS, p99 latency and the snapshot-served share, under
+//!   the keys `BENCH_PR6.json` used.
 //! * `trace_overhead` — the cost of the always-on flight recorder: the two
 //!   most recording-sensitive probes (contended append at RF 3 × 4 threads,
 //!   and write-heavy YCSB under Primo/watermark) run with recording enabled
 //!   vs disabled, reported as an overhead percentage. The recorder's
 //!   always-on contract is that this stays **≤ 5 %**.
+//!
+//! Every experiment cell also carries the run's whole metrics registry
+//! under `metrics` ([`MetricsSnapshot::to_json`]), so a newly defined
+//! metric lands in the matrix without touching this emitter.
 //!
 //! ```text
 //! bench_matrix [--duration-ms N] [--partitions N] [--workers N] [--out PATH]
@@ -49,72 +64,36 @@
 //! the wide setting still catches any real recording bug (a per-event
 //! allocation or lock lands well above 15 %).
 
+use primo_bench::wal_fixtures::{replicated_log, write_payload};
 use primo_bench::Scale;
-use primo_repro::wal::{LogPayload, LoggedWrite, ReplicatedLog};
+use primo_repro::common::Json;
+use primo_repro::metrics::{cluster, commit, experiment, prefetch, txn};
+use primo_repro::storage::Record;
+use primo_repro::wal::LogPayload;
 use primo_repro::{
-    CommitMode, Experiment, FlightRecorder, LoggingScheme, PartitionId, ProtocolKind, TableId,
-    Value, WalConfig,
+    CommitMode, Experiment, FlightRecorder, LoggingScheme, MetricsSnapshot, ProtocolKind, Value,
 };
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-const PROTOCOLS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::SyncPerTxn,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::Watermark,
-];
 
 const READ_RATIO: f64 = 0.5;
 const REPLICATION_FACTOR: usize = 3;
 const RF_POINTS: [usize; 3] = [1, 3, 5];
 const THREAD_POINTS: [usize; 3] = [1, 4, 16];
+/// YCSB read ratio and version-chain bound of the read-only scaling section.
+const READ_ONLY_RATIO: f64 = 0.95;
+const MAX_VERSIONS: usize = 8;
 
-fn scheme_key(s: LoggingScheme) -> &'static str {
-    match s {
-        LoggingScheme::SyncPerTxn => "sync",
-        LoggingScheme::CocoEpoch => "coco",
-        LoggingScheme::Clv => "clv",
-        LoggingScheme::Watermark => "watermark",
+/// One experiment cell: its coordinates and headline numbers under the keys
+/// the committed `BENCH_*.json` files use (also echoed to stderr), plus the
+/// run's whole registry under `metrics`.
+fn cell(keys: Vec<(&str, Json)>, snap: &MetricsSnapshot) -> Json {
+    let mut cell = Json::obj(keys);
+    eprintln!("{cell}");
+    if let Json::Obj(fields) = &mut cell {
+        fields.push(("metrics".into(), snap.to_json()));
     }
-}
-
-fn rf_log(rf: usize) -> ReplicatedLog {
-    ReplicatedLog::new(
-        PartitionId(0),
-        WalConfig {
-            replication_factor: rf,
-            // Real-ish delays: local disk 100us, replicas 200us behind a
-            // 500us hop. The appender never waits for any of these, so the
-            // measured cost is purely the critical-section work.
-            persist_delay_us: 100,
-            replica_persist_delay_us: Some(200),
-            ..WalConfig::default()
-        },
-        500,
-        None,
-    )
-}
-
-fn append_payload(seq: u64) -> LogPayload {
-    LogPayload::TxnWrites {
-        txn: primo_repro::TxnId::new(PartitionId(0), seq),
-        ts: seq,
-        writes: vec![LoggedWrite::put(TableId(0), seq, Value::from_u64(seq))],
-    }
+    cell
 }
 
 /// Wall-clock ns per append with `threads` appenders hammering one log.
@@ -130,12 +109,12 @@ fn append_payload(seq: u64) -> LogPayload {
 fn contended_append_ns(rf: usize, threads: usize, recording: bool) -> f64 {
     let per_thread: u64 = 200_000 / threads as u64;
     let pass = || {
-        let log = Arc::new(rf_log(rf));
+        let log = Arc::new(replicated_log(rf));
         log.set_recorder(Arc::new(FlightRecorder::new(recording, 4096)));
         let batches: Vec<Vec<LogPayload>> = (0..threads as u64)
             .map(|t| {
                 (0..per_thread)
-                    .map(|i| append_payload(t * per_thread + i))
+                    .map(|i| write_payload(t * per_thread + i))
                     .collect()
             })
             .collect();
@@ -161,14 +140,15 @@ fn contended_append_ns(rf: usize, threads: usize, recording: bool) -> f64 {
     runs[0]
 }
 
-struct Cell {
-    protocol: &'static str,
-    scheme: &'static str,
-    tps: f64,
-    p99_ms: f64,
-    abort_rate: f64,
-    wal_append_wait_us: u64,
-    replication_batch_len: f64,
+/// The matrix's write-heavy YCSB experiment: replication factor 3 and a
+/// checkpoint every quarter of the run.
+fn matrix_ycsb(kind: ProtocolKind, scale: &Scale) -> Experiment {
+    Experiment::new()
+        .protocol(kind)
+        .scale(*scale)
+        .replication_factor(REPLICATION_FACTOR)
+        .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
+        .ycsb_with(|y| y.read_ratio = READ_RATIO)
 }
 
 fn write_heavy_snapshot(
@@ -176,16 +156,27 @@ fn write_heavy_snapshot(
     scheme: LoggingScheme,
     scale: &Scale,
     recording: bool,
-) -> primo_repro::MetricsSnapshot {
-    Experiment::new()
-        .protocol(kind)
+) -> MetricsSnapshot {
+    matrix_ycsb(kind, scale)
         .logging(scheme)
-        .scale(*scale)
-        .replication_factor(REPLICATION_FACTOR)
-        .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
-        .ycsb_with(|y| y.read_ratio = READ_RATIO)
         .tweak_cluster(move |c| c.trace.enabled = recording)
         .run()
+}
+
+/// `n` back-to-back `(on, off)` pairs of `run(recording)`, alternating
+/// which mode runs first (ABBA).
+fn abba_pairs(n: usize, mut run: impl FnMut(bool) -> f64) -> Vec<(f64, f64)> {
+    (0..n)
+        .map(|i| {
+            let first_on = i % 2 == 0;
+            let (first, second) = (run(first_on), run(!first_on));
+            if first_on {
+                (first, second)
+            } else {
+                (second, first)
+            }
+        })
+        .collect()
 }
 
 struct OverheadProbe {
@@ -216,18 +207,7 @@ fn trace_overhead(scale: &Scale) -> (OverheadProbe, OverheadProbe) {
     };
     let pct = |cost: f64, base: f64| if base > 0.0 { cost / base * 100.0 } else { 0.0 };
 
-    let mut pairs = Vec::new();
-    for i in 0..8 {
-        let (first_on, second_on) = (i % 2 == 0, i % 2 != 0);
-        let first = contended_append_ns(3, 4, first_on);
-        let second = contended_append_ns(3, 4, second_on);
-        let (on, off) = if first_on {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        pairs.push((on, off));
-    }
+    let pairs = abba_pairs(8, |recording| contended_append_ns(3, 4, recording));
     let append = OverheadProbe {
         on: median(pairs.iter().map(|p| p.0).collect()),
         off: median(pairs.iter().map(|p| p.1).collect()),
@@ -252,18 +232,7 @@ fn trace_overhead(scale: &Scale) -> (OverheadProbe, OverheadProbe) {
         )
         .throughput_tps
     };
-    let mut pairs = Vec::new();
-    for i in 0..6 {
-        let first_on = i % 2 == 0;
-        let first = run(first_on);
-        let second = run(!first_on);
-        let (on, off) = if first_on {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        pairs.push((on, off));
-    }
+    let pairs = abba_pairs(6, run);
     let diffs: Vec<f64> = pairs.iter().map(|&(on, off)| pct(off - on, off)).collect();
     let ycsb = OverheadProbe {
         on: median(pairs.iter().map(|p| p.0).collect()),
@@ -284,62 +253,91 @@ fn report_overhead(append: &OverheadProbe, ycsb: &OverheadProbe) {
     );
 }
 
+/// Median of three timing passes, nanoseconds per op.
+fn ns_per_op(mut pass: impl FnMut() -> f64) -> f64 {
+    let mut runs = [pass(), pass(), pass()];
+    runs.sort_by(|a, b| a.total_cmp(b));
+    runs[1]
+}
+
+fn micro_version_push() -> f64 {
+    const OPS: u64 = 200_000;
+    ns_per_op(|| {
+        let rec = Record::new(Value::from_u64(0));
+        rec.set_max_versions(MAX_VERSIONS);
+        let start = Instant::now();
+        for i in 0..OPS {
+            rec.install_next_version_at(Value::from_u64(i), i + 1);
+        }
+        start.elapsed().as_nanos() as f64 / OPS as f64
+    })
+}
+
+fn micro_snapshot_lookup() -> f64 {
+    const OPS: u64 = 1_000_000;
+    ns_per_op(|| {
+        let rec = Record::new(Value::from_u64(0));
+        rec.set_max_versions(MAX_VERSIONS);
+        for i in 0..MAX_VERSIONS as u64 {
+            rec.install_next_version_at(Value::from_u64(i), (i + 1) * 10);
+        }
+        // Horizon in the middle of the retained chain: the lookup walks
+        // half the history on every call.
+        let h = (MAX_VERSIONS as u64 / 2) * 10;
+        let start = Instant::now();
+        for _ in 0..OPS {
+            std::hint::black_box(rec.read_at(std::hint::black_box(h)));
+        }
+        start.elapsed().as_nanos() as f64 / OPS as f64
+    })
+}
+
+fn write_heavy_cell(kind: ProtocolKind, scheme: LoggingScheme, scale: &Scale) -> Json {
+    let snap = write_heavy_snapshot(kind, scheme, scale, true);
+    cell(
+        vec![
+            ("protocol", kind.label().into()),
+            ("scheme", scheme.key().into()),
+            ("tps", snap.throughput_tps.into()),
+            ("p99_ms", snap.get(&txn::LATENCY_US).p99_ms().into()),
+            ("abort_rate", snap.get(&txn::ABORT_RATE).into()),
+            (
+                "wal_append_wait_us",
+                snap.get(&cluster::APPEND_WAIT_US).into(),
+            ),
+            (
+                "replication_batch_len",
+                snap.get(&cluster::REPLICATION_BATCH_LEN).into(),
+            ),
+        ],
+        &snap,
+    )
+}
+
 /// One atomic-commit ablation cell: the write-heavy YCSB workload with the
 /// commit mode forced, keeping everything else at the matrix settings.
-struct CommitCell {
-    protocol: &'static str,
-    mode: &'static str,
-    tps: f64,
-    commit_decisions: u64,
-    decide_mean_us: f64,
-    decide_p99_us: u64,
-}
-
-fn run_commit_cell(kind: ProtocolKind, mode: CommitMode, scale: &Scale) -> CommitCell {
-    let snap = Experiment::new()
-        .protocol(kind)
-        .commit_mode(mode)
-        .scale(*scale)
-        .replication_factor(REPLICATION_FACTOR)
-        .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
-        .ycsb_with(|y| y.read_ratio = READ_RATIO)
-        .run();
-    CommitCell {
-        protocol: kind.label(),
-        mode: mode.label(),
-        tps: snap.throughput_tps,
-        commit_decisions: snap.commit_decisions,
-        decide_mean_us: snap.commit_decide_mean_us,
-        decide_p99_us: snap.commit_decide_p99_us,
-    }
-}
-
-/// One remote-read ablation cell: fully distributed, fully remote YCSB with
-/// the batched fan-out on or off, at a given one-way network latency.
-struct RemoteReadCell {
-    protocol: &'static str,
-    one_way_us: u64,
-    batched: bool,
-    tps: f64,
-    round_trips_per_dist_txn: f64,
-    prefetch_hit_rate: f64,
-    dist_mean_ms: f64,
-    dist_p99_ms: f64,
+fn commit_cell(kind: ProtocolKind, mode: CommitMode, scale: &Scale) -> Json {
+    let snap = matrix_ycsb(kind, scale).commit_mode(mode).run();
+    let decide = snap.get(&commit::DECIDE_US);
+    cell(
+        vec![
+            ("protocol", kind.label().into()),
+            ("mode", mode.label().into()),
+            ("tps", snap.throughput_tps.into()),
+            ("commit_decisions", decide.count.into()),
+            ("decide_mean_us", decide.mean_us.into()),
+            ("decide_p99_us", decide.p99_us.into()),
+        ],
+        &snap,
+    )
 }
 
 const ONE_WAY_POINTS: [u64; 3] = [5, 50, 200];
 
-fn run_remote_read_cell(
-    kind: ProtocolKind,
-    one_way_us: u64,
-    batched: bool,
-    scale: &Scale,
-) -> RemoteReadCell {
-    let snap = Experiment::new()
-        .protocol(kind)
-        .scale(*scale)
-        .replication_factor(REPLICATION_FACTOR)
-        .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
+/// One remote-read ablation cell: fully distributed, fully remote YCSB with
+/// the batched fan-out on or off, at a given one-way network latency.
+fn remote_read_cell(kind: ProtocolKind, one_way_us: u64, batched: bool, scale: &Scale) -> Json {
+    let snap = matrix_ycsb(kind, scale)
         .ycsb_with(|y| {
             y.read_ratio = READ_RATIO;
             // Every transaction distributed, every operation remote: the
@@ -352,29 +350,60 @@ fn run_remote_read_cell(
             c.batch_remote_reads = batched;
         })
         .run();
-    RemoteReadCell {
-        protocol: kind.label(),
-        one_way_us,
-        batched,
-        tps: snap.throughput_tps,
-        round_trips_per_dist_txn: snap.remote_round_trips_per_dist_txn,
-        prefetch_hit_rate: snap.prefetch_hit_rate,
-        dist_mean_ms: snap.dist_txn_mean_ms,
-        dist_p99_ms: snap.dist_txn_p99_ms,
-    }
+    let dist = snap.get(&txn::DIST_LATENCY_US);
+    cell(
+        vec![
+            ("protocol", kind.label().into()),
+            ("one_way_us", one_way_us.into()),
+            ("batched", batched.into()),
+            ("tps", snap.throughput_tps.into()),
+            (
+                "round_trips_per_dist_txn",
+                snap.get(&experiment::ROUND_TRIPS_PER_DIST_TXN).into(),
+            ),
+            ("prefetch_hit_rate", snap.get(&prefetch::HIT_RATE).into()),
+            ("dist_mean_ms", dist.mean_ms().into()),
+            ("dist_p99_ms", dist.p99_ms().into()),
+        ],
+        &snap,
+    )
 }
 
-fn run_cell(kind: ProtocolKind, scheme: LoggingScheme, scale: &Scale) -> Cell {
-    let snap = write_heavy_snapshot(kind, scheme, scale, true);
-    Cell {
-        protocol: kind.label(),
-        scheme: scheme_key(scheme),
-        tps: snap.throughput_tps,
-        p99_ms: snap.p99_latency_ms,
-        abort_rate: snap.abort_rate,
-        wal_append_wait_us: snap.wal_append_wait_us,
-        replication_batch_len: snap.replication_batch_len,
-    }
+/// One read-only scaling cell: read-mostly YCSB with MVCC snapshot reads on
+/// or off.
+fn read_only_cell(
+    kind: ProtocolKind,
+    scheme: LoggingScheme,
+    snapshot_on: bool,
+    scale: &Scale,
+) -> Json {
+    let snap = Experiment::new()
+        .protocol(kind)
+        .logging(scheme)
+        .scale(*scale)
+        .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
+        .ycsb_with(|y| y.read_ratio = READ_ONLY_RATIO)
+        .tweak_cluster(move |c| {
+            c.primo.read_only_snapshot = snapshot_on;
+            c.primo.max_versions = MAX_VERSIONS;
+        })
+        .run();
+    cell(
+        vec![
+            ("protocol", kind.label().into()),
+            ("scheme", scheme.key().into()),
+            ("snapshot", snapshot_on.into()),
+            ("tps", snap.throughput_tps.into()),
+            ("p99_ms", snap.get(&txn::LATENCY_US).p99_ms().into()),
+            (
+                "snapshot_read_tps",
+                snap.get(&txn::SNAPSHOT_READ_TPS).into(),
+            ),
+            ("snapshot_reads", snap.get(&txn::SNAPSHOT_READS).into()),
+            ("abort_rate", snap.get(&txn::ABORT_RATE).into()),
+        ],
+        &snap,
+    )
 }
 
 fn main() {
@@ -444,31 +473,25 @@ fn main() {
         for threads in THREAD_POINTS {
             let ns = contended_append_ns(rf, threads, true);
             eprintln!("rf={rf} threads={threads:<3} {ns:>10.1} ns/append");
-            append_cells.push((rf, threads, ns));
+            append_cells.push(Json::obj([
+                ("rf", rf.into()),
+                ("threads", threads.into()),
+                ("ns_per_append", ns.into()),
+            ]));
         }
     }
 
     eprintln!(
         "# write-heavy YCSB (read ratio {READ_RATIO}, RF {REPLICATION_FACTOR}): \
          {} protocols x {} schemes, {} ms each",
-        PROTOCOLS.len(),
-        SCHEMES.len(),
+        ProtocolKind::ALL.len(),
+        LoggingScheme::ALL.len(),
         scale.duration_ms
     );
-    let mut cells = Vec::new();
-    for kind in PROTOCOLS {
-        for scheme in SCHEMES {
-            let cell = run_cell(kind, scheme, &scale);
-            eprintln!(
-                "{:<12} {:<10} tps={:>10.0} p99={:>7.2}ms wait={:>8}us batch={:>5.1}",
-                cell.protocol,
-                cell.scheme,
-                cell.tps,
-                cell.p99_ms,
-                cell.wal_append_wait_us,
-                cell.replication_batch_len
-            );
-            cells.push(cell);
+    let mut heavy_cells = Vec::new();
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
+            heavy_cells.push(write_heavy_cell(kind, scheme, &scale));
         }
     }
 
@@ -476,17 +499,7 @@ fn main() {
     let mut commit_cells = Vec::new();
     for kind in [ProtocolKind::TwoPlNoWait, ProtocolKind::Primo] {
         for mode in [CommitMode::TwoPc, CommitMode::PaxosCommit] {
-            let cell = run_commit_cell(kind, mode, &scale);
-            eprintln!(
-                "{:<12} {:<12} tps={:>10.0} decisions={:>8} decide-mean={:>8.1}us p99={:>6}us",
-                cell.protocol,
-                cell.mode,
-                cell.tps,
-                cell.commit_decisions,
-                cell.decide_mean_us,
-                cell.decide_p99_us
-            );
-            commit_cells.push(cell);
+            commit_cells.push(commit_cell(kind, mode, &scale));
         }
     }
 
@@ -495,24 +508,29 @@ fn main() {
     for kind in [ProtocolKind::Primo, ProtocolKind::TwoPlNoWait] {
         for one_way_us in ONE_WAY_POINTS {
             for batched in [false, true] {
-                let cell = run_remote_read_cell(kind, one_way_us, batched, &scale);
-                eprintln!(
-                    "{:<12} one-way={:>3}us {} tps={:>9.0} rt/dist-txn={:>6.2} hit={:>5.1}% \
-                     dist-mean={:>7.2}ms dist-p99={:>7.2}ms",
-                    cell.protocol,
-                    cell.one_way_us,
-                    if cell.batched {
-                        "batched   "
-                    } else {
-                        "sequential"
-                    },
-                    cell.tps,
-                    cell.round_trips_per_dist_txn,
-                    cell.prefetch_hit_rate * 100.0,
-                    cell.dist_mean_ms,
-                    cell.dist_p99_ms
-                );
-                remote_cells.push(cell);
+                remote_cells.push(remote_read_cell(kind, one_way_us, batched, &scale));
+            }
+        }
+    }
+
+    eprintln!("# version chain micro benches (record-level, no cluster)");
+    let version_push_ns = micro_version_push();
+    let snapshot_lookup_ns = micro_snapshot_lookup();
+    eprintln!("version_push_ns    = {version_push_ns:.1}");
+    eprintln!("snapshot_lookup_ns = {snapshot_lookup_ns:.1}");
+
+    eprintln!(
+        "# read-only scaling (read ratio {READ_ONLY_RATIO}): {} protocols x {} schemes \
+         x 2 modes, {} ms each",
+        ProtocolKind::ALL.len(),
+        LoggingScheme::ALL.len(),
+        scale.duration_ms
+    );
+    let mut read_only_cells = Vec::new();
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
+            for snapshot_on in [true, false] {
+                read_only_cells.push(read_only_cell(kind, scheme, snapshot_on, &scale));
             }
         }
     }
@@ -521,87 +539,55 @@ fn main() {
     let (append_oh, ycsb_oh) = trace_overhead(&scale);
     report_overhead(&append_oh, &ycsb_oh);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"pr\": 10,");
-    let _ = writeln!(
-        json,
-        "  \"matrix\": {{\"read_ratio\": {READ_RATIO}, \
-         \"replication_factor\": {REPLICATION_FACTOR}, \
-         \"partitions\": {}, \"workers_per_partition\": {}, \"duration_ms\": {}}},",
-        scale.partitions, scale.workers_per_partition, scale.duration_ms
-    );
-    json.push_str("  \"contended_append\": [\n");
-    for (i, (rf, threads, ns)) in append_cells.iter().enumerate() {
-        let comma = if i + 1 < append_cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"rf\": {rf}, \"threads\": {threads}, \"ns_per_append\": {ns:.1}}}{comma}"
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"write_heavy\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"scheme\": \"{}\", \"tps\": {:.1}, \
-             \"p99_ms\": {:.3}, \"abort_rate\": {:.4}, \"wal_append_wait_us\": {}, \
-             \"replication_batch_len\": {:.2}}}{comma}",
-            c.protocol,
-            c.scheme,
-            c.tps,
-            c.p99_ms,
-            c.abort_rate,
-            c.wal_append_wait_us,
-            c.replication_batch_len
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"commit_decision\": [\n");
-    for (i, c) in commit_cells.iter().enumerate() {
-        let comma = if i + 1 < commit_cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"mode\": \"{}\", \"tps\": {:.1}, \
-             \"commit_decisions\": {}, \"decide_mean_us\": {:.1}, \"decide_p99_us\": {}}}{comma}",
-            c.protocol, c.mode, c.tps, c.commit_decisions, c.decide_mean_us, c.decide_p99_us
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"remote_read\": [\n");
-    for (i, c) in remote_cells.iter().enumerate() {
-        let comma = if i + 1 < remote_cells.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"protocol\": \"{}\", \"one_way_us\": {}, \"batched\": {}, \
-             \"tps\": {:.1}, \"round_trips_per_dist_txn\": {:.2}, \
-             \"prefetch_hit_rate\": {:.3}, \"dist_mean_ms\": {:.3}, \
-             \"dist_p99_ms\": {:.3}}}{comma}",
-            c.protocol,
-            c.one_way_us,
-            c.batched,
-            c.tps,
-            c.round_trips_per_dist_txn,
-            c.prefetch_hit_rate,
-            c.dist_mean_ms,
-            c.dist_p99_ms
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"trace_overhead\": {{\"limit_pct\": {OVERHEAD_LIMIT_PCT}, \
-         \"contended_append\": {{\"on_ns\": {:.1}, \"off_ns\": {:.1}, \"overhead_pct\": {:.2}}}, \
-         \"write_heavy_ycsb\": {{\"on_tps\": {:.1}, \"off_tps\": {:.1}, \"overhead_pct\": {:.2}}}}}",
-        append_oh.on,
-        append_oh.off,
-        append_oh.overhead_pct,
-        ycsb_oh.on,
-        ycsb_oh.off,
-        ycsb_oh.overhead_pct
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, json).expect("write BENCH_PR10.json");
+    let doc = Json::obj([
+        ("pr", 10u64.into()),
+        (
+            "matrix",
+            Json::obj([
+                ("read_ratio", READ_RATIO.into()),
+                ("replication_factor", REPLICATION_FACTOR.into()),
+                ("partitions", scale.partitions.into()),
+                ("workers_per_partition", scale.workers_per_partition.into()),
+                ("duration_ms", scale.duration_ms.into()),
+                ("read_only_ratio", READ_ONLY_RATIO.into()),
+                ("max_versions", MAX_VERSIONS.into()),
+            ]),
+        ),
+        ("contended_append", Json::Arr(append_cells)),
+        ("write_heavy", Json::Arr(heavy_cells)),
+        ("commit_decision", Json::Arr(commit_cells)),
+        ("remote_read", Json::Arr(remote_cells)),
+        (
+            "version_chain",
+            Json::obj([
+                ("version_push_ns", version_push_ns.into()),
+                ("snapshot_lookup_ns", snapshot_lookup_ns.into()),
+            ]),
+        ),
+        ("read_only_scaling", Json::Arr(read_only_cells)),
+        (
+            "trace_overhead",
+            Json::obj([
+                ("limit_pct", OVERHEAD_LIMIT_PCT.into()),
+                (
+                    "contended_append",
+                    Json::obj([
+                        ("on_ns", append_oh.on.into()),
+                        ("off_ns", append_oh.off.into()),
+                        ("overhead_pct", append_oh.overhead_pct.into()),
+                    ]),
+                ),
+                (
+                    "write_heavy_ycsb",
+                    Json::obj([
+                        ("on_tps", ycsb_oh.on.into()),
+                        ("off_tps", ycsb_oh.off.into()),
+                        ("overhead_pct", ycsb_oh.overhead_pct.into()),
+                    ]),
+                ),
+            ]),
+        ),
+    ]);
+    std::fs::write(&out_path, doc.render()).expect("write BENCH_PR10.json");
     eprintln!("wrote {out_path}");
 }

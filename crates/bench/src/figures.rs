@@ -4,12 +4,13 @@
 //! returns nothing; the `figures` binary dispatches to them. Absolute numbers
 //! differ from the paper (simulated cluster vs. a real one); the shapes —
 //! which protocol wins, by roughly what factor, where crossovers happen — are
-//! what EXPERIMENTS.md compares.
+//! what to compare.
 //!
 //! All runs go through [`Experiment`], so a figure is exactly "a loop over
 //! protocol kinds and one swept knob".
 
 use primo_repro::core::analysis::{self, ModelParams};
+use primo_repro::metrics::{cluster, commit, experiment, prefetch, txn};
 use primo_repro::{
     CommitMode, CrashPlan, Experiment, LoggingScheme, MetricsSnapshot, PartitionId, Phase,
     ProtocolKind, Scale,
@@ -34,9 +35,9 @@ fn print_row(label: &str, snap: &MetricsSnapshot) {
     println!(
         "{label:<22} {:>10.1} ktps   abort {:>5.1}%   lat {:>7.2} ms   p99 {:>8.2} ms",
         snap.ktps(),
-        snap.abort_rate * 100.0,
+        snap.get(&txn::ABORT_RATE) * 100.0,
         snap.mean_latency_ms,
-        snap.p99_latency_ms
+        snap.get(&txn::LATENCY_US).p99_ms()
     );
 }
 
@@ -87,10 +88,10 @@ fn print_abort_breakdown(label: &str, snap: &MetricsSnapshot) {
 fn print_remote_reads(label: &str, snap: &MetricsSnapshot) {
     println!(
         "{label:<22} {:>8.2} rt/dist-txn   hit {:>5.1}%   dist p99 {:>8.2} ms   ({} dist txns)",
-        snap.remote_round_trips_per_dist_txn,
-        snap.prefetch_hit_rate * 100.0,
-        snap.dist_txn_p99_ms,
-        snap.dist_committed
+        snap.get(&experiment::ROUND_TRIPS_PER_DIST_TXN),
+        snap.get(&prefetch::HIT_RATE) * 100.0,
+        snap.get(&txn::DIST_LATENCY_US).p99_ms(),
+        snap.get(&txn::DIST_COMMITTED)
     );
 }
 
@@ -122,76 +123,39 @@ fn tpcc(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
 /// Fig. 4: YCSB default setting — throughput, factor breakdown, latency
 /// breakdown and tail latency.
 pub fn fig4(scale: &Scale) {
-    header("Fig 4a: YCSB throughput (default setting)");
-    let mut snaps = Vec::new();
-    for kind in HEADLINE {
-        let snap = ycsb(kind, scale);
-        print_row(kind.label(), &snap);
-        snaps.push((kind, snap));
-    }
-
-    header("Fig 4a': abort breakdown by reason");
-    for (kind, snap) in &snaps {
-        print_abort_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 4b: factor breakdown (normalised to Sundial)");
-    let sundial = snaps
-        .iter()
-        .find(|(k, _)| *k == ProtocolKind::Sundial)
-        .map(|(_, s)| s.ktps())
-        .unwrap_or(1.0);
-    for kind in [
-        ProtocolKind::Sundial,
-        ProtocolKind::PrimoNoWcfNoWm,
-        ProtocolKind::PrimoNoWm,
-        ProtocolKind::Primo,
-    ] {
-        let snap = if let Some((_, s)) = snaps.iter().find(|(k, _)| *k == kind) {
-            s.clone()
-        } else {
-            ycsb(kind, scale)
-        };
-        println!(
-            "{:<22} {:>10.1} ktps   {:.2}x vs Sundial",
-            kind.label(),
-            snap.ktps(),
-            snap.ktps() / sundial.max(1e-9)
-        );
-    }
-
-    header("Fig 4c: latency breakdown (ms per committed txn)");
-    for (kind, snap) in &snaps {
-        print_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 4d: 99th-percentile latency (ms)");
-    for (kind, snap) in &snaps {
-        println!("{:<22} {:>8.2} ms", kind.label(), snap.p99_latency_ms);
-    }
-
-    header("Fig 4e: remote-read batching (round trips / dist txn, prefetch hits)");
-    for (kind, snap) in &snaps {
-        print_remote_reads(kind.label(), snap);
-    }
+    default_setting("4", "YCSB", ycsb, scale);
 }
 
 /// Fig. 5: the same four panels on TPC-C.
 pub fn fig5(scale: &Scale) {
-    header("Fig 5a: TPC-C throughput (default setting)");
+    default_setting("5", "TPC-C", tpcc, scale);
+}
+
+/// The default-setting panels of Fig `fig` on one workload.
+fn default_setting(
+    fig: &str,
+    workload: &str,
+    run: fn(ProtocolKind, &Scale) -> MetricsSnapshot,
+    scale: &Scale,
+) {
+    header(&format!(
+        "Fig {fig}a: {workload} throughput (default setting)"
+    ));
     let mut snaps = Vec::new();
     for kind in HEADLINE {
-        let snap = tpcc(kind, scale);
+        let snap = run(kind, scale);
         print_row(kind.label(), &snap);
         snaps.push((kind, snap));
     }
 
-    header("Fig 5a': abort breakdown by reason");
+    header(&format!("Fig {fig}a': abort breakdown by reason"));
     for (kind, snap) in &snaps {
         print_abort_breakdown(kind.label(), snap);
     }
 
-    header("Fig 5b: factor breakdown (normalised to Sundial)");
+    header(&format!(
+        "Fig {fig}b: factor breakdown (normalised to Sundial)"
+    ));
     let sundial = snaps
         .iter()
         .find(|(k, _)| *k == ProtocolKind::Sundial)
@@ -206,7 +170,7 @@ pub fn fig5(scale: &Scale) {
         let snap = if let Some((_, s)) = snaps.iter().find(|(k, _)| *k == kind) {
             s.clone()
         } else {
-            tpcc(kind, scale)
+            run(kind, scale)
         };
         println!(
             "{:<22} {:>10.1} ktps   {:.2}x vs Sundial",
@@ -216,17 +180,25 @@ pub fn fig5(scale: &Scale) {
         );
     }
 
-    header("Fig 5c: latency breakdown (ms per committed txn)");
+    header(&format!(
+        "Fig {fig}c: latency breakdown (ms per committed txn)"
+    ));
     for (kind, snap) in &snaps {
         print_breakdown(kind.label(), snap);
     }
 
-    header("Fig 5d: 99th-percentile latency (ms)");
+    header(&format!("Fig {fig}d: 99th-percentile latency (ms)"));
     for (kind, snap) in &snaps {
-        println!("{:<22} {:>8.2} ms", kind.label(), snap.p99_latency_ms);
+        println!(
+            "{:<22} {:>8.2} ms",
+            kind.label(),
+            snap.get(&txn::LATENCY_US).p99_ms()
+        );
     }
 
-    header("Fig 5e: remote-read batching (round trips / dist txn, prefetch hits)");
+    header(&format!(
+        "Fig {fig}e: remote-read batching (round trips / dist txn, prefetch hits)"
+    ));
     for (kind, snap) in &snaps {
         print_remote_reads(kind.label(), snap);
     }
@@ -251,11 +223,36 @@ pub fn fig6(scale: &Scale) {
                 .ycsb_with(move |y| y.zipf_theta = skew)
                 .run();
             tputs.push(format!("{:>8.1}", snap.ktps()));
-            aborts.push(format!("{:>8.3}", snap.abort_rate));
+            aborts.push(format!("{:>8.3}", snap.get(&txn::ABORT_RATE)));
         }
         println!("{:<22} {}   (ktps)", kind.label(), tputs.join(" "));
         println!("{:<22} {}   (abort rate)", "", aborts.join(" "));
     }
+}
+
+/// One throughput row per protocol over a swept knob; `run(kind, i)` runs
+/// the `i`-th point.
+fn ktps_sweep(
+    first_col: &str,
+    columns: &[String],
+    kinds: &[ProtocolKind],
+    run: impl Fn(ProtocolKind, usize) -> MetricsSnapshot,
+) {
+    println!("{first_col:<22} {}", columns.join(" "));
+    for &kind in kinds {
+        let row: Vec<String> = (0..columns.len())
+            .map(|i| format!("{:>8.1}", run(kind, i).ktps()))
+            .collect();
+        println!("{:<22} {}", kind.label(), row.join(" "));
+    }
+}
+
+/// Column headers for a swept fraction, as whole percentages.
+fn pct_columns(points: &[f64]) -> Vec<String> {
+    points
+        .iter()
+        .map(|r| format!("{:>8}", format!("{}%", (r * 100.0) as u32)))
+        .collect()
 }
 
 /// Fig. 7: impact of the ratio of distributed transactions under low and
@@ -267,28 +264,17 @@ pub fn fig7(scale: &Scale) {
         ("Fig 7b: high contention (skew 0.9)", 0.9),
     ] {
         header(title);
-        println!(
-            "{:<22} {}",
-            "protocol",
-            ratios
-                .map(|r| format!("{:>8}", format!("{}%", (r * 100.0) as u32)))
-                .join(" ")
-        );
-        for kind in HEADLINE {
-            let mut row = Vec::new();
-            for r in ratios {
-                let snap = Experiment::new()
-                    .protocol(kind)
-                    .scale(*scale)
-                    .ycsb_with(move |y| {
-                        y.zipf_theta = skew;
-                        y.distributed_ratio = r;
-                    })
-                    .run();
-                row.push(format!("{:>8.1}", snap.ktps()));
-            }
-            println!("{:<22} {}", kind.label(), row.join(" "));
-        }
+        ktps_sweep("protocol", &pct_columns(&ratios), &HEADLINE, |kind, i| {
+            let r = ratios[i];
+            Experiment::new()
+                .protocol(kind)
+                .scale(*scale)
+                .ycsb_with(move |y| {
+                    y.zipf_theta = skew;
+                    y.distributed_ratio = r;
+                })
+                .run()
+        });
     }
 }
 
@@ -300,28 +286,18 @@ pub fn fig8(scale: &Scale) {
         ("Fig 8b: 80% distributed", 0.8),
     ] {
         header(title);
-        println!(
-            "{:<22} {}",
-            "protocol (% writes)",
-            write_pcts
-                .map(|w| format!("{:>8}", format!("{}%", (w * 100.0) as u32)))
-                .join(" ")
-        );
-        for kind in HEADLINE {
-            let mut row = Vec::new();
-            for w in write_pcts {
-                let snap = Experiment::new()
-                    .protocol(kind)
-                    .scale(*scale)
-                    .ycsb_with(move |y| {
-                        y.distributed_ratio = dist;
-                        y.read_ratio = 1.0 - w;
-                    })
-                    .run();
-                row.push(format!("{:>8.1}", snap.ktps()));
-            }
-            println!("{:<22} {}", kind.label(), row.join(" "));
-        }
+        let columns = pct_columns(&write_pcts);
+        ktps_sweep("protocol (% writes)", &columns, &HEADLINE, |kind, i| {
+            let w = write_pcts[i];
+            Experiment::new()
+                .protocol(kind)
+                .scale(*scale)
+                .ycsb_with(move |y| {
+                    y.distributed_ratio = dist;
+                    y.read_ratio = 1.0 - w;
+                })
+                .run()
+        });
     }
 }
 
@@ -329,48 +305,30 @@ pub fn fig8(scale: &Scale) {
 pub fn fig9(scale: &Scale) {
     header("Fig 9: impact of the blind-write ratio (Primo vs Sundial)");
     let ratios = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    println!(
-        "{:<22} {}",
-        "protocol",
-        ratios
-            .map(|r| format!("{:>8}", format!("{}%", (r * 100.0) as u32)))
-            .join(" ")
-    );
-    for kind in [ProtocolKind::Primo, ProtocolKind::Sundial] {
-        let mut row = Vec::new();
-        for r in ratios {
-            let snap = Experiment::new()
-                .protocol(kind)
-                .scale(*scale)
-                .ycsb_with(move |y| y.blind_write_ratio = r)
-                .run();
-            row.push(format!("{:>8.1}", snap.ktps()));
-        }
-        println!("{:<22} {}", kind.label(), row.join(" "));
-    }
+    let kinds = [ProtocolKind::Primo, ProtocolKind::Sundial];
+    ktps_sweep("protocol", &pct_columns(&ratios), &kinds, |kind, i| {
+        let r = ratios[i];
+        Experiment::new()
+            .protocol(kind)
+            .scale(*scale)
+            .ycsb_with(move |y| y.blind_write_ratio = r)
+            .run()
+    });
 }
 
 /// Fig. 10: impact of the number of warehouses per partition in TPC-C.
 pub fn fig10(scale: &Scale) {
     header("Fig 10: TPC-C warehouses per partition");
     let warehouses = [1u64, 8, 16, 32, 64, 128];
-    println!(
-        "{:<22} {}",
-        "protocol",
-        warehouses.map(|w| format!("{w:>8}")).join(" ")
-    );
-    for kind in HEADLINE {
-        let mut row = Vec::new();
-        for w in warehouses {
-            let snap = Experiment::new()
-                .protocol(kind)
-                .scale(*scale)
-                .tpcc_with(move |t| t.warehouses_per_partition = w)
-                .run();
-            row.push(format!("{:>8.1}", snap.ktps()));
-        }
-        println!("{:<22} {}", kind.label(), row.join(" "));
-    }
+    let columns: Vec<String> = warehouses.iter().map(|w| format!("{w:>8}")).collect();
+    ktps_sweep("protocol", &columns, &HEADLINE, |kind, i| {
+        let w = warehouses[i];
+        Experiment::new()
+            .protocol(kind)
+            .scale(*scale)
+            .tpcc_with(move |t| t.warehouses_per_partition = w)
+            .run()
+    });
 }
 
 /// Fig. 11: logging schemes (CLV vs COCO vs Watermark) under each
@@ -454,16 +412,16 @@ pub fn fig12(scale: &Scale) {
                 scheme.label(),
                 size,
                 snap.mean_latency_ms,
-                snap.crash_abort_rate,
+                snap.get(&txn::CRASH_ABORT_RATE),
                 snap.ktps(),
-                snap.recovery_time_us as f64 / 1000.0,
-                snap.replayed_txns,
-                snap.compensated_txns,
-                snap.post_recovery_tps / 1000.0,
-                snap.leader_changes,
-                snap.replication_lag_us,
-                snap.wal_append_wait_us,
-                snap.replication_batch_len
+                snap.get(&experiment::RECOVERY_TIME_US) as f64 / 1000.0,
+                snap.get(&experiment::REPLAYED_TXNS),
+                snap.get(&cluster::COMPENSATED_TXNS),
+                snap.get(&experiment::POST_RECOVERY_TPS) / 1000.0,
+                snap.get(&cluster::LEADER_CHANGES),
+                snap.get(&cluster::REPLICATION_LAG_US),
+                snap.get(&cluster::APPEND_WAIT_US),
+                snap.get(&cluster::REPLICATION_BATCH_LEN)
             );
             // One representative cell per scheme gets the windowed timeline:
             // the crash-dip / recovery-ramp shape is the point of the figure
@@ -502,11 +460,11 @@ pub fn fig12(scale: &Scale) {
             "{:<12} {:>10.1} {:>11} {:>16.1} {:>15} {:>9} {:>9}",
             mode.label(),
             snap.ktps(),
-            snap.commit_decisions,
-            snap.commit_decide_mean_us,
-            snap.commit_decide_p99_us,
-            snap.in_doubt_resolved,
-            snap.orphaned_txns
+            snap.get(&commit::DECIDE_US).count,
+            snap.get(&commit::DECIDE_US).mean_us,
+            snap.get(&commit::DECIDE_US).p99_us,
+            snap.get(&commit::IN_DOUBT_RESOLVED),
+            snap.get(&commit::ORPHANED_TXNS)
         );
     }
     println!(
@@ -643,8 +601,8 @@ pub fn fig15(scale: &Scale) {
                     format!("{contention}, {}% dist", (dist * 100.0) as u32),
                     snap.ktps(),
                     snap.mean_latency_ms,
-                    snap.p99_latency_ms,
-                    snap.abort_rate
+                    snap.get(&txn::LATENCY_US).p99_ms(),
+                    snap.get(&txn::ABORT_RATE)
                 );
             }
         }
@@ -701,12 +659,12 @@ pub fn fig16(scale: &Scale) {
                     ),
                     r,
                     snap.ktps(),
-                    snap.p99_latency_ms,
-                    snap.snapshot_read_tps,
-                    snap.snapshot_reads,
-                    snap.pruned_versions,
-                    snap.wal_append_wait_us,
-                    snap.replication_batch_len
+                    snap.get(&txn::LATENCY_US).p99_ms(),
+                    snap.get(&txn::SNAPSHOT_READ_TPS),
+                    snap.get(&txn::SNAPSHOT_READS),
+                    snap.get(&cluster::PRUNED_VERSIONS),
+                    snap.get(&cluster::APPEND_WAIT_US),
+                    snap.get(&cluster::REPLICATION_BATCH_LEN)
                 );
             }
         }

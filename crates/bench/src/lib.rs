@@ -12,9 +12,9 @@
 //!
 //! Each harness prints the same series the paper plots (throughput in kilo
 //! transactions per second, abort rates, latency breakdowns, ...), so the
-//! *shape* of every figure can be compared directly; see `EXPERIMENTS.md` for
-//! the recorded comparison.
+//! *shape* of every figure can be compared directly.
 
 pub mod figures;
+pub mod wal_fixtures;
 
 pub use primo_repro::Scale;

@@ -14,59 +14,9 @@
 //! cargo test --release -p primo-bench --test contended_append -- --ignored
 //! ```
 
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal, ReplicatedLog};
-use primo_repro::{PartitionId, TableId, TxnId, Value, WalConfig};
-use std::sync::Arc;
+use primo_bench::wal_fixtures::{replicated_log, write_payload, OldFanout};
+use primo_repro::wal::LogPayload;
 use std::time::Instant;
-
-/// The pre-PR-7 append shape: one lock held across the whole replica
-/// fan-out, every appender paying one `append_in_term` per replica.
-struct OldFanout {
-    lock: std::sync::Mutex<()>,
-    replicas: Vec<PartitionWal>,
-}
-
-impl OldFanout {
-    fn rf3() -> Self {
-        OldFanout {
-            lock: std::sync::Mutex::new(()),
-            replicas: (0..3)
-                .map(|i| PartitionWal::new(PartitionId(0), if i == 0 { 100 } else { 700 }))
-                .collect(),
-        }
-    }
-
-    fn append(&self, payload: LogPayload) -> u64 {
-        let payload = Arc::new(payload);
-        let _guard = self.lock.lock().unwrap();
-        for replica in &self.replicas[1..] {
-            replica.append_in_term(0, Arc::clone(&payload));
-        }
-        self.replicas[0].append_in_term(0, payload)
-    }
-}
-
-fn pipelined_rf3() -> ReplicatedLog {
-    ReplicatedLog::new(
-        PartitionId(0),
-        WalConfig {
-            replication_factor: 3,
-            persist_delay_us: 100,
-            replica_persist_delay_us: Some(200),
-            ..WalConfig::default()
-        },
-        500,
-        None,
-    )
-}
-
-fn payload(seq: u64) -> LogPayload {
-    LogPayload::TxnWrites {
-        txn: TxnId::new(PartitionId(0), seq),
-        ts: seq + 1,
-        writes: vec![LoggedWrite::put(TableId(0), seq, Value::from_u64(seq))],
-    }
-}
 
 /// Wall-clock ns/append across `threads` appenders; payloads are pre-built
 /// outside the timed window (same methodology as `bench_matrix`).
@@ -76,7 +26,7 @@ fn measure(threads: u64, append: impl Fn(LogPayload) -> u64 + Sync) -> f64 {
     let batches: Vec<Vec<LogPayload>> = (0..threads)
         .map(|t| {
             (0..per_thread)
-                .map(|i| payload(t * per_thread + i))
+                .map(|i| write_payload(t * per_thread + i))
                 .collect()
         })
         .collect();
@@ -111,7 +61,7 @@ fn pipelined_append_beats_synchronous_fanout_under_contention() {
         measure(threads, |p| old.append(p))
     };
     let measure_new = || {
-        let log = pipelined_rf3();
+        let log = replicated_log(3);
         measure(threads, |p| log.append(p))
     };
     let old_ns = median3([measure_old(), measure_old(), measure_old()]);

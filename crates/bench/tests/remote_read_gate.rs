@@ -12,6 +12,7 @@
 //! ```
 
 use primo_bench::Scale;
+use primo_repro::metrics::{experiment, prefetch, txn};
 use primo_repro::{Experiment, MetricsSnapshot, ProtocolKind};
 
 fn fully_remote_cell(kind: ProtocolKind, batched: bool) -> MetricsSnapshot {
@@ -43,18 +44,19 @@ fn batching_at_least_halves_remote_round_trips_per_dist_txn() {
         let seq = fully_remote_cell(kind, false);
         let bat = fully_remote_cell(kind, true);
         assert!(
-            seq.dist_committed > 0 && bat.dist_committed > 0,
+            seq.get(&txn::DIST_COMMITTED) > 0 && bat.get(&txn::DIST_COMMITTED) > 0,
             "{}: the cell must commit distributed transactions",
             kind.label()
         );
-        let ratio = seq.remote_round_trips_per_dist_txn / bat.remote_round_trips_per_dist_txn;
+        let ratio = seq.get(&experiment::ROUND_TRIPS_PER_DIST_TXN)
+            / bat.get(&experiment::ROUND_TRIPS_PER_DIST_TXN);
         eprintln!(
             "{}: rt/dist-txn sequential {:.2}, batched {:.2} ({:.2}x), hit rate {:.1}%",
             kind.label(),
-            seq.remote_round_trips_per_dist_txn,
-            bat.remote_round_trips_per_dist_txn,
+            seq.get(&experiment::ROUND_TRIPS_PER_DIST_TXN),
+            bat.get(&experiment::ROUND_TRIPS_PER_DIST_TXN),
             ratio,
-            bat.prefetch_hit_rate * 100.0
+            bat.get(&prefetch::HIT_RATE) * 100.0
         );
         // A 10-op fully remote transaction pays ~10 read round trips
         // sequentially and ~1 batched; aborted attempts and commit rounds
@@ -68,12 +70,15 @@ fn batching_at_least_halves_remote_round_trips_per_dist_txn() {
         // The prefetch buffer must actually serve the reads, not just
         // charge fewer messages.
         assert!(
-            bat.prefetch_hit_rate > 0.5,
+            bat.get(&prefetch::HIT_RATE) > 0.5,
             "{}: prefetch hit rate collapsed ({:.2})",
             kind.label(),
-            bat.prefetch_hit_rate
+            bat.get(&prefetch::HIT_RATE)
         );
         // Batching must never *add* messages when it is off.
-        assert!(bat.remote_round_trips_per_dist_txn <= seq.remote_round_trips_per_dist_txn);
+        assert!(
+            bat.get(&experiment::ROUND_TRIPS_PER_DIST_TXN)
+                <= seq.get(&experiment::ROUND_TRIPS_PER_DIST_TXN)
+        );
     }
 }

@@ -46,6 +46,20 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
+    /// Every protocol, in the order the 9-protocol suites and bench cells
+    /// iterate them.
+    pub const ALL: [ProtocolKind; 9] = [
+        ProtocolKind::TwoPlNoWait,
+        ProtocolKind::TwoPlWaitDie,
+        ProtocolKind::Silo,
+        ProtocolKind::Sundial,
+        ProtocolKind::Aria,
+        ProtocolKind::Tapir,
+        ProtocolKind::Primo,
+        ProtocolKind::PrimoNoWm,
+        ProtocolKind::PrimoNoWcfNoWm,
+    ];
+
     /// Short label used in figure output, matching the paper's legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -118,6 +132,25 @@ pub enum LoggingScheme {
 }
 
 impl LoggingScheme {
+    /// Every group-commit scheme, in the order the 4-scheme suites and bench
+    /// cells iterate them.
+    pub const ALL: [LoggingScheme; 4] = [
+        LoggingScheme::SyncPerTxn,
+        LoggingScheme::CocoEpoch,
+        LoggingScheme::Clv,
+        LoggingScheme::Watermark,
+    ];
+
+    /// Lower-case key used in `BENCH_*.json` cells.
+    pub fn key(self) -> &'static str {
+        match self {
+            LoggingScheme::SyncPerTxn => "sync",
+            LoggingScheme::CocoEpoch => "coco",
+            LoggingScheme::Clv => "clv",
+            LoggingScheme::Watermark => "watermark",
+        }
+    }
+
     pub fn label(self) -> &'static str {
         match self {
             LoggingScheme::SyncPerTxn => "Sync",
@@ -336,6 +369,34 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_every_variant() {
+        // The exhaustive matches fail to compile when a variant is added;
+        // the count then tells whoever adds it to extend `ALL` as well.
+        let protocols = ProtocolKind::ALL.iter().filter(|k| match k {
+            ProtocolKind::TwoPlNoWait
+            | ProtocolKind::TwoPlWaitDie
+            | ProtocolKind::Silo
+            | ProtocolKind::Sundial
+            | ProtocolKind::Aria
+            | ProtocolKind::Tapir
+            | ProtocolKind::Primo
+            | ProtocolKind::PrimoNoWm
+            | ProtocolKind::PrimoNoWcfNoWm => true,
+        });
+        assert_eq!(protocols.count(), 9);
+        let schemes = LoggingScheme::ALL.iter().filter(|s| match s {
+            LoggingScheme::SyncPerTxn
+            | LoggingScheme::CocoEpoch
+            | LoggingScheme::Clv
+            | LoggingScheme::Watermark => true,
+        });
+        assert_eq!(schemes.count(), 4);
+        let mut seen = std::collections::HashSet::new();
+        assert!(ProtocolKind::ALL.iter().all(|k| seen.insert(k.label())));
+        assert!(LoggingScheme::ALL.iter().all(|s| seen.insert(s.key())));
+    }
 
     #[test]
     fn default_matches_paper_setup() {

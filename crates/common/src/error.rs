@@ -44,6 +44,21 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
+    /// Every reason, in declaration order (so `reason as usize` indexes it).
+    pub const ALL: [AbortReason; 11] = [
+        AbortReason::LockConflict,
+        AbortReason::WaitDie,
+        AbortReason::Validation,
+        AbortReason::ModeSwitch,
+        AbortReason::UserAbort,
+        AbortReason::NotFound,
+        AbortReason::CrashAbort,
+        AbortReason::RemoteUnavailable,
+        AbortReason::EpochAbort,
+        AbortReason::DeterministicConflict,
+        AbortReason::CoordinatorCrash,
+    ];
+
     /// True for aborts that the worker loop should retry with back-off.
     pub fn is_retryable(self) -> bool {
         !matches!(self, AbortReason::UserAbort | AbortReason::NotFound)
@@ -127,21 +142,32 @@ mod tests {
 
     #[test]
     fn classification_is_disjoint() {
-        for r in [
-            AbortReason::LockConflict,
-            AbortReason::WaitDie,
-            AbortReason::Validation,
-            AbortReason::ModeSwitch,
-            AbortReason::UserAbort,
-            AbortReason::NotFound,
-            AbortReason::CrashAbort,
-            AbortReason::RemoteUnavailable,
-            AbortReason::EpochAbort,
-            AbortReason::DeterministicConflict,
-            AbortReason::CoordinatorCrash,
-        ] {
+        for r in AbortReason::ALL {
             assert!(!(r.is_conflict() && r.is_crash()), "{r} classified twice");
         }
+    }
+
+    #[test]
+    fn all_lists_every_reason_in_declaration_order() {
+        // The exhaustive match stops compiling when a variant is added; the
+        // count then sends whoever adds it to `ALL` too.
+        let listed = AbortReason::ALL.iter().enumerate().filter(|(i, r)| {
+            assert_eq!(**r as usize, *i, "ALL must follow declaration order");
+            match r {
+                AbortReason::LockConflict
+                | AbortReason::WaitDie
+                | AbortReason::Validation
+                | AbortReason::ModeSwitch
+                | AbortReason::UserAbort
+                | AbortReason::NotFound
+                | AbortReason::CrashAbort
+                | AbortReason::RemoteUnavailable
+                | AbortReason::EpochAbort
+                | AbortReason::DeterministicConflict
+                | AbortReason::CoordinatorCrash => true,
+            }
+        });
+        assert_eq!(listed.count(), 11);
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub use ids::{PartitionId, TableId, ThreadId, Ts, TxnId};
 pub use phase::{Phase, PhaseTimers};
 pub use rng::{FastRng, ZipfGen};
 pub use stats::{
-    ClusterStats, Histogram, HistogramCounts, Metrics, MetricsSnapshot, TimelineWindow,
+    ratio, CounterDef, CountersDef, GaugeDef, Histogram, HistogramCounts, HistogramDef,
+    HistogramSummary, Json, Metric, MetricDef, MetricKind, MetricValue, Metrics, MetricsSnapshot,
+    Registry, TimelineWindow,
 };
 pub use value::{Key, Row, Value};

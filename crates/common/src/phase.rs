@@ -53,7 +53,7 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Phase::Execute => 0,
             Phase::TwoPc => 1,

@@ -17,7 +17,7 @@ use primo_runtime::access::{
     WriteKind,
 };
 use primo_runtime::cluster::Cluster;
-use primo_runtime::prefetch::{PrefetchOutcome, ReadFanout};
+use primo_runtime::prefetch::{metrics as prefetch_metrics, PrefetchOutcome, ReadFanout};
 use primo_runtime::txn::TxnContext;
 use primo_storage::{LockMode, LockPolicy, LockRequestResult, Record};
 use primo_trace::TraceEventKind;
@@ -174,7 +174,7 @@ impl<'a> PrimoCtx<'a> {
                 if self.cluster.net.is_crashed(p) {
                     return Err(self.fail(AbortReason::RemoteUnavailable));
                 }
-                self.cluster.note_prefetch_hit();
+                self.cluster.metrics.inc(&prefetch_metrics::HITS);
                 self.cluster.recorder.emit(
                     Some(self.txn),
                     Some(self.home),
@@ -185,14 +185,14 @@ impl<'a> PrimoCtx<'a> {
             outcome => {
                 if self.fanout.is_some() {
                     if outcome == PrefetchOutcome::Stale {
-                        self.cluster.note_prefetch_stale();
+                        self.cluster.metrics.inc(&prefetch_metrics::STALE);
                         self.cluster.recorder.emit(
                             Some(self.txn),
                             Some(self.home),
                             TraceEventKind::PrefetchStale,
                         );
                     } else {
-                        self.cluster.note_prefetch_miss();
+                        self.cluster.metrics.inc(&prefetch_metrics::MISSES);
                     }
                 }
                 if !self.cluster.net.round_trip(self.home, p) {

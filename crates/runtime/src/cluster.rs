@@ -2,10 +2,11 @@
 //! plus the simulated network, control bus and group-commit scheme shared by
 //! all of them.
 
-use crate::commit::{build_atomic_commit, AtomicCommit};
+use crate::commit::{self, build_atomic_commit, AtomicCommit};
+use crate::prefetch;
 use parking_lot::Mutex;
 use primo_common::config::ClusterConfig;
-use primo_common::{Histogram, PartitionId, Ts, TxnId};
+use primo_common::{ratio, PartitionId, Registry, Ts, TxnId};
 use primo_net::{DelayedBus, SimNetwork};
 use primo_recovery::{
     compensate_survivors, CheckpointStats, Checkpointer, CrashContext, RecoveryManager,
@@ -17,6 +18,35 @@ use primo_wal::{build_group_commit, GroupCommit, LogPayload, ReplicatedLog};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Cluster-level metrics: counters the cluster records itself and gauges it
+/// refreshes from the logs and the network in [`Cluster::collect_metrics`].
+pub mod metrics {
+    primo_common::metrics! {
+        /// Superseded record versions garbage-collected at checkpoints.
+        PRUNED_VERSIONS: CounterDef("storage.pruned_versions", "versions");
+        /// Crash-rolled-back transactions whose installed writes on
+        /// *surviving* partitions were undone via before-image compensation.
+        COMPENSATED_TXNS: CounterDef("recovery.compensated_txns", "txns");
+        /// Deterministic log-leader hand-offs across all partitions (every
+        /// crash moves leadership to the successor replica).
+        LEADER_CHANGES: GaugeDef("wal.leader_changes", "hand-offs");
+        /// The worst partition's append→quorum-ack delay; equals the local
+        /// persist delay at replication factor 1.
+        REPLICATION_LAG_US: GaugeDef("wal.replication_lag_us", "us");
+        /// Total time committers spent blocked on a partition sequencer
+        /// (stage 1 of the append pipeline); 0 when every append found the
+        /// sequencer free.
+        APPEND_WAIT_US: GaugeDef("wal.append_wait_us", "us");
+        /// Mean log entries the replication pump shipped per drained batch
+        /// (stage 2 of the append pipeline); 0 for single-copy logs.
+        REPLICATION_BATCH_LEN: GaugeDef("wal.replication_batch_len", "entries");
+        /// Messages sent on the simulated network.
+        MESSAGES: GaugeDef("net.messages", "messages");
+        /// Network round trips charged.
+        ROUND_TRIPS: GaugeDef("net.round_trips", "round trips");
+    }
+}
 
 /// One shared-nothing partition (leader).
 #[derive(Debug)]
@@ -79,6 +109,9 @@ pub struct Cluster {
     /// events here. Always present; recording itself is gated by
     /// `config.trace.enabled`.
     pub recorder: Arc<FlightRecorder>,
+    /// Cluster-lifetime metrics of every layer that records through the
+    /// cluster ([`commit::metrics`], [`prefetch::metrics`], [`metrics`]).
+    pub metrics: Registry,
     /// The distributed atomic-commit protocol every prepare/decide path runs
     /// through (classic blocking 2PC or non-blocking Paxos Commit, per
     /// `config.commit_mode`).
@@ -88,37 +121,12 @@ pub struct Cluster {
     /// coordinated by the armed partition consumes it and "dies" between
     /// the vote round and the decision.
     coordinator_crash: AtomicU64,
-    /// Transactions orphaned by a coordinator crash under classic 2PC
-    /// (their locks leak; the participants block).
-    orphaned_txns: AtomicU64,
-    /// In-doubt transactions terminated from the durable vote set (live
-    /// Paxos Commit resolution plus recovery-time sealing).
-    in_doubt_resolved: AtomicU64,
-    /// Prepare→decide latency of distributed commits, microseconds.
-    commit_decide_us: Histogram,
     /// Global transaction sequence (see [`Partition::next_txn_id`]).
     global_seq: AtomicU64,
     /// Crash-time state of currently-crashed partitions, captured by
     /// [`Cluster::crash_partition`] and consumed by
     /// [`Cluster::recover_partition`].
     pending_crashes: Mutex<HashMap<u32, CrashContext>>,
-    /// Total crash-rolled-back transactions whose surviving-partition
-    /// residue was compensated (see [`Cluster::crash_partition`]).
-    compensated_txns: AtomicU64,
-    /// Superseded record versions garbage-collected at checkpoints (the
-    /// version-chain GC piggybacks on [`Cluster::checkpoint_partition`]).
-    pruned_versions: AtomicU64,
-    /// Batched remote-read fan-outs issued (one per resolved non-empty
-    /// [`Footprint`](crate::prefetch::Footprint)).
-    prefetch_fanouts: AtomicU64,
-    /// Remote reads served from a prefetch buffer (no round trip charged).
-    prefetch_hits: AtomicU64,
-    /// Remote reads whose prefetched record moved underneath the buffer
-    /// (fell back to a fresh round trip).
-    prefetch_stale: AtomicU64,
-    /// Remote reads with no prefetch entry (unplanned keys, or batching
-    /// off) — the sequential path.
-    prefetch_misses: AtomicU64,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -187,19 +195,11 @@ impl Cluster {
             bus,
             group_commit,
             recorder,
+            metrics: Registry::new(&[commit::metrics::ALL, prefetch::metrics::ALL, metrics::ALL]),
             atomic_commit,
             coordinator_crash: AtomicU64::new(0),
-            orphaned_txns: AtomicU64::new(0),
-            in_doubt_resolved: AtomicU64::new(0),
-            commit_decide_us: Histogram::new(),
             global_seq: AtomicU64::new(1),
             pending_crashes: Mutex::new(HashMap::new()),
-            compensated_txns: AtomicU64::new(0),
-            pruned_versions: AtomicU64::new(0),
-            prefetch_fanouts: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_stale: AtomicU64::new(0),
-            prefetch_misses: AtomicU64::new(0),
         })
     }
 
@@ -247,103 +247,54 @@ impl Cluster {
         self.coordinator_crash.load(Ordering::SeqCst) != 0
     }
 
-    /// Account one transaction orphaned by a coordinator crash under
-    /// classic 2PC.
-    pub fn note_orphaned_txn(&self) {
-        self.orphaned_txns.fetch_add(1, Ordering::Relaxed);
+    /// The cluster registry with its gauges refreshed from the logs, the
+    /// network and the prefetch counters: what a run's
+    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot) reads.
+    pub fn collect_metrics(&self) -> &Registry {
+        let m = &self.metrics;
+        let leader_changes: u64 = self.partitions.iter().map(|p| p.log.leader_changes()).sum();
+        m.set(&metrics::LEADER_CHANGES, leader_changes as f64);
+        m.set(
+            &metrics::REPLICATION_LAG_US,
+            self.replication_lag_us() as f64,
+        );
+        m.set(&metrics::APPEND_WAIT_US, self.wal_append_wait_us() as f64);
+        m.set(
+            &metrics::REPLICATION_BATCH_LEN,
+            self.replication_batch_len(),
+        );
+        m.set(&metrics::MESSAGES, self.net.messages_sent() as f64);
+        m.set(&metrics::ROUND_TRIPS, self.net.round_trips_charged() as f64);
+        m.set(&prefetch::metrics::HIT_RATE, self.prefetch_hit_rate());
+        m
     }
 
-    /// Transactions orphaned by coordinator crashes (blocked forever —
-    /// classic 2PC's failure mode; always 0 under Paxos Commit).
-    pub fn orphaned_txns(&self) -> u64 {
-        self.orphaned_txns.load(Ordering::Relaxed)
-    }
-
-    /// Account one in-doubt transaction terminated from the durable vote
-    /// set (live resolution or recovery-time sealing).
-    pub fn note_in_doubt_resolved(&self) {
-        self.in_doubt_resolved.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// In-doubt transactions resolved so far (reported as
-    /// `in_doubt_resolved` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
-    pub fn in_doubt_resolved(&self) -> u64 {
-        self.in_doubt_resolved.load(Ordering::Relaxed)
-    }
-
-    /// Account one batched remote-read fan-out.
-    pub fn note_prefetch_fanout(&self) {
-        self.prefetch_fanouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batched remote-read fan-outs issued so far.
-    pub fn prefetch_fanouts(&self) -> u64 {
-        self.prefetch_fanouts.load(Ordering::Relaxed)
-    }
-
-    /// Account one remote read served from a prefetch buffer.
-    pub fn note_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Remote reads served from prefetch buffers so far.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Ordering::Relaxed)
-    }
-
-    /// Account one stale prefetch (entry present, record moved).
-    pub fn note_prefetch_stale(&self) {
-        self.prefetch_stale.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stale prefetches so far.
-    pub fn prefetch_stale(&self) -> u64 {
-        self.prefetch_stale.load(Ordering::Relaxed)
-    }
-
-    /// Account one remote read without a prefetch entry.
-    pub fn note_prefetch_miss(&self) {
-        self.prefetch_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Prefetch-less remote reads so far.
-    pub fn prefetch_misses(&self) -> u64 {
-        self.prefetch_misses.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of remote reads served from a prefetch buffer (reported as
-    /// `prefetch_hit_rate` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot); 0 when no remote
-    /// read ran).
+    /// Fraction of remote reads served from a prefetch buffer
+    /// (`prefetch.hit_rate`; 0 when no remote read ran).
     pub fn prefetch_hit_rate(&self) -> f64 {
-        let hits = self.prefetch_hits();
-        let total = hits + self.prefetch_stale() + self.prefetch_misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        let m = &self.metrics;
+        let hits = m.get(&prefetch::metrics::HITS);
+        let total = hits + m.get(&prefetch::metrics::STALE) + m.get(&prefetch::metrics::MISSES);
+        ratio(hits as f64, total as f64)
     }
 
-    /// Record one distributed commit's prepare→decide latency.
-    pub fn record_commit_decision(&self, us: u64) {
-        self.commit_decide_us.record_us(us);
-    }
-
-    /// Number of distributed commit decisions whose latency was recorded.
+    /// Number of distributed commit decisions in `commit.decide_us`.
     pub fn commit_decisions(&self) -> u64 {
-        self.commit_decide_us.count()
+        self.metrics.histogram(&commit::metrics::DECIDE_US).count()
     }
 
     /// Mean prepare→decide latency of distributed commits, microseconds.
     pub fn commit_decide_mean_us(&self) -> f64 {
-        self.commit_decide_us.mean_us()
+        self.metrics
+            .histogram(&commit::metrics::DECIDE_US)
+            .mean_us()
     }
 
     /// p99 prepare→decide latency of distributed commits, microseconds.
     pub fn commit_decide_p99_us(&self) -> u64 {
-        self.commit_decide_us.percentile_us(0.99)
+        self.metrics
+            .histogram(&commit::metrics::DECIDE_US)
+            .percentile_us(0.99)
     }
 
     /// All partition ids.
@@ -408,8 +359,8 @@ impl Cluster {
             token,
             Some(&self.recorder),
         );
-        self.compensated_txns
-            .fetch_add(compensated as u64, Ordering::Relaxed);
+        self.metrics
+            .add(&metrics::COMPENSATED_TXNS, compensated as u64);
         // Every rolled-back version is purged from the survivors' chains:
         // the snapshot horizon no longer needs to stay capped below the
         // agreement.
@@ -426,24 +377,10 @@ impl Cluster {
         self.partition(p).log.fail_over(discard_log)
     }
 
-    /// Total crash-rolled-back transactions compensated on surviving
-    /// partitions so far (reported as `compensated_txns` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
-    pub fn compensated_txns(&self) -> u64 {
-        self.compensated_txns.load(Ordering::Relaxed)
-    }
-
-    /// Total leader hand-offs across all partitions' replicated logs
-    /// (reported as `leader_changes` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
-    pub fn leader_changes(&self) -> u64 {
-        self.partitions.iter().map(|p| p.log.leader_changes()).sum()
-    }
-
     /// Replication lag: the worst partition's quorum-ack delay — the time
     /// between appending a log record and its quorum acknowledgement
-    /// (reported as `replication_lag_us`; equals the local persist delay
-    /// when the log is single-copy).
+    /// (`wal.replication_lag_us`; equals the local persist delay when the
+    /// log is single-copy).
     pub fn replication_lag_us(&self) -> u64 {
         self.partitions
             .iter()
@@ -454,15 +391,14 @@ impl Cluster {
 
     /// Total microseconds committers spent blocked on a partition's log
     /// sequencer — stage-1 contention on the append pipeline's commit
-    /// critical section (reported as `wal_append_wait_us` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
+    /// critical section (`wal.append_wait_us`).
     pub fn wal_append_wait_us(&self) -> u64 {
         self.partitions.iter().map(|p| p.log.append_wait_us()).sum()
     }
 
     /// Mean entries per replication-pump batch across all partitions —
-    /// stage-2 amortization of the append pipeline (reported as
-    /// `replication_batch_len`; 0 when nothing was replicated, e.g. at
+    /// stage-2 amortization of the append pipeline
+    /// (`wal.replication_batch_len`; 0 when nothing was replicated, e.g. at
     /// replication factor 1).
     pub fn replication_batch_len(&self) -> f64 {
         let (entries, batches) = self.partitions.iter().fold((0u64, 0u64), |(e, b), p| {
@@ -471,11 +407,7 @@ impl Cluster {
                 b + p.log.replication_batches(),
             )
         });
-        if batches == 0 {
-            0.0
-        } else {
-            entries as f64 / batches as f64
-        }
+        ratio(entries as f64, batches as f64)
     }
 
     /// Recover a crashed partition for real: wipe its store and rebuild it
@@ -511,8 +443,10 @@ impl Cluster {
             Some(&self.recorder),
             mid_replay,
         );
-        self.in_doubt_resolved
-            .fetch_add(report.in_doubt_resolved as u64, Ordering::Relaxed);
+        self.metrics.add(
+            &commit::metrics::IN_DOUBT_RESOLVED,
+            report.in_doubt_resolved as u64,
+        );
         Some(report)
     }
 
@@ -550,16 +484,8 @@ impl Cluster {
         // are reclaimed here rather than by a dedicated vacuum thread.
         let bound = self.group_commit.snapshot_horizon(p);
         let pruned = partition.store.prune_versions(bound);
-        self.pruned_versions
-            .fetch_add(pruned as u64, Ordering::Relaxed);
+        self.metrics.add(&metrics::PRUNED_VERSIONS, pruned as u64);
         Some(stats)
-    }
-
-    /// Total superseded record versions reclaimed by checkpoint-time GC
-    /// (reported as `pruned_versions` in
-    /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
-    pub fn pruned_versions(&self) -> u64 {
-        self.pruned_versions.load(Ordering::Relaxed)
     }
 
     /// The cluster-wide MVCC snapshot timestamp: the minimum of every
@@ -684,6 +610,20 @@ mod tests {
         assert!(cluster.checkpoint_all().is_empty());
         cluster.recover_partition(p);
         assert!(cluster.checkpoint_partition(p).is_some());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn derived_ratios_report_zero_on_empty_denominators() {
+        // No remote read ran and single-copy logs ship no replication batch:
+        // both ratios divide by zero and must report 0, never NaN.
+        let cluster = Cluster::new(ClusterConfig::for_tests(2));
+        assert_eq!(cluster.prefetch_hit_rate(), 0.0);
+        assert_eq!(cluster.replication_batch_len(), 0.0);
+        let m = cluster.collect_metrics();
+        assert_eq!(m.get(&prefetch::metrics::HIT_RATE), 0.0);
+        assert_eq!(m.get(&metrics::REPLICATION_BATCH_LEN), 0.0);
+        assert_eq!(cluster.commit_decide_mean_us(), 0.0);
         cluster.shutdown();
     }
 

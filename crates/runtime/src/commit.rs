@@ -32,6 +32,23 @@ use primo_wal::LogPayload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The atomic-commit layer's metrics (cluster-lifetime).
+pub mod metrics {
+    primo_common::metrics! {
+        /// Transactions orphaned by a coordinator crash under classic 2PC
+        /// (their locks leak, the participants block; always 0 under Paxos
+        /// Commit).
+        ORPHANED_TXNS: CounterDef("commit.orphaned_txns", "txns");
+        /// In-doubt transactions terminated from the durable vote set (live
+        /// Paxos Commit resolution plus recovery-time sealing).
+        IN_DOUBT_RESOLVED: CounterDef("commit.in_doubt_resolved", "txns");
+        /// Prepare→decide latency of distributed commits: a full round trip
+        /// under classic 2PC, durable log appends plus a one-way
+        /// notification under Paxos Commit.
+        DECIDE_US: HistogramDef("commit.decide_us", "us");
+    }
+}
+
 /// Proof that the prepare phase succeeded, carrying the instant it completed
 /// so the decide phase can report the prepare→decide latency.
 #[derive(Debug, Clone, Copy)]
@@ -178,7 +195,7 @@ impl AtomicCommit for ClassicTwoPc {
             cluster
                 .recorder
                 .emit(Some(txn), Some(home), TraceEventKind::CoordinatorCrashed);
-            cluster.note_orphaned_txn();
+            cluster.metrics.inc(&metrics::ORPHANED_TXNS);
             return PrepareOutcome::Orphaned;
         }
         PrepareOutcome::Prepared(PreparedAt::now())
@@ -199,7 +216,9 @@ impl AtomicCommit for ClassicTwoPc {
         cluster
             .net
             .note_commit_messages(2 * participants.len() as u64);
-        cluster.record_commit_decision(prepared.elapsed_us());
+        cluster
+            .metrics
+            .record_us(&metrics::DECIDE_US, prepared.elapsed_us());
         cluster.recorder.emit(
             Some(txn),
             Some(home),
@@ -287,7 +306,7 @@ impl PaxosCommit {
                 in_doubt: true,
             },
         );
-        cluster.note_in_doubt_resolved();
+        cluster.metrics.inc(&metrics::IN_DOUBT_RESOLVED);
         // The caller runs its normal abort path off this reason, which doubles
         // as the participant notification — consistent termination, no blocking.
         PrepareOutcome::Aborted(AbortReason::CoordinatorCrash)
@@ -384,7 +403,9 @@ impl AtomicCommit for PaxosCommit {
         }
         cluster.net.one_way_multi(home, participants);
         cluster.net.note_commit_messages(participants.len() as u64);
-        cluster.record_commit_decision(prepared.elapsed_us());
+        cluster
+            .metrics
+            .record_us(&metrics::DECIDE_US, prepared.elapsed_us());
         cluster.recorder.emit(
             Some(txn),
             Some(home),
@@ -444,7 +465,9 @@ impl AtomicCommit for PaxosCommit {
                 .net
                 .note_commit_messages(log.replication_factor() as u64 - 1);
         }
-        cluster.record_commit_decision(prepared.elapsed_us());
+        cluster
+            .metrics
+            .record_us(&metrics::DECIDE_US, prepared.elapsed_us());
         cluster.recorder.emit(
             Some(txn),
             Some(home),
@@ -557,7 +580,7 @@ mod tests {
                 .atomic_commit()
                 .prepare(&cluster, txn, PartitionId(0), &[PartitionId(1)]);
         assert!(matches!(outcome, PrepareOutcome::Orphaned), "{outcome:?}");
-        assert_eq!(cluster.orphaned_txns(), 1);
+        assert_eq!(cluster.metrics.get(&metrics::ORPHANED_TXNS), 1);
         // The injection is one-shot: the next prepare sails through.
         let txn2 = cluster.next_txn_id(PartitionId(0));
         let outcome =
@@ -583,8 +606,12 @@ mod tests {
             }
             other => panic!("in-doubt resolution must abort cleanly, got {other:?}"),
         }
-        assert_eq!(cluster.in_doubt_resolved(), 1);
-        assert_eq!(cluster.orphaned_txns(), 0, "nothing blocks under Paxos");
+        assert_eq!(cluster.metrics.get(&metrics::IN_DOUBT_RESOLVED), 1);
+        assert_eq!(
+            cluster.metrics.get(&metrics::ORPHANED_TXNS),
+            0,
+            "nothing blocks under Paxos"
+        );
         std::thread::sleep(Duration::from_millis(5));
         for p in [PartitionId(0), PartitionId(1)] {
             let log = &cluster.partition(p).log;

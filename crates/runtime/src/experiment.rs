@@ -7,72 +7,42 @@ use crate::protocol::Protocol;
 use crate::txn::Workload;
 use crate::worker::spawn_workers;
 use primo_common::config::ClusterConfig;
-use primo_common::{
-    ClusterStats, HistogramCounts, Metrics, MetricsSnapshot, PartitionId, TimelineWindow,
-};
+use primo_common::stats::txn;
+use primo_common::{ratio, HistogramCounts, Metrics, MetricsSnapshot, PartitionId, TimelineWindow};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// What the experiment driver itself records into each run's registry.
+pub mod metrics {
+    primo_common::metrics! {
+        /// Time spent rebuilding crashed partitions (wipe + checkpoint
+        /// restore + durable-log replay); 0 when no crash was injected.
+        RECOVERY_TIME_US: CounterDef("recovery.time_us", "us");
+        /// Committed transactions replayed from durable logs during recovery.
+        REPLAYED_TXNS: CounterDef("recovery.replayed_txns", "txns");
+        /// Throughput between recovery completion and the end of the
+        /// measurement: the post-recovery dip Fig 12b-style harnesses report.
+        POST_RECOVERY_TPS: GaugeDef("recovery.post_recovery_tps", "1/s");
+        /// Network round trips charged per committed distributed
+        /// transaction: the number the batched remote-read fan-out improves.
+        ROUND_TRIPS_PER_DIST_TXN: GaugeDef("net.round_trips_per_dist_txn", "1/txn");
+    }
+}
 
 /// Nominal length of one live-metrics timeline window. Actual windows carry
 /// their measured `len_us`, so scheduling jitter skews a window's rate math
 /// by its true length, not the nominal one.
 const TIMELINE_WINDOW: Duration = Duration::from_millis(100);
 
-/// Mutable cursor of the timeline sampler: everything needed to close the
-/// current window as a delta against the live [`Metrics`].
-struct TimelineCursor {
-    run_start: Instant,
-    win_start: Instant,
-    committed: u64,
-    aborted: u64,
-    latency: HistogramCounts,
-}
-
-impl TimelineCursor {
-    fn new(metrics: &Metrics) -> Self {
-        let now = Instant::now();
-        TimelineCursor {
-            run_start: now,
-            win_start: now,
-            committed: metrics.committed(),
-            aborted: metrics.aborted_attempts(),
-            latency: metrics.latency_counts(),
-        }
-    }
-
-    /// Close the window that started at `win_start`: diff the live counters
-    /// against the cursor, emit one [`TimelineWindow`], advance the cursor.
-    fn close_window(&mut self, metrics: &Metrics, out: &mut Vec<TimelineWindow>) {
-        let len = self.win_start.elapsed();
-        let len_us = len.as_micros() as u64;
-        if len_us == 0 {
-            return;
-        }
-        let committed_now = metrics.committed();
-        let aborted_now = metrics.aborted_attempts();
-        let latency_now = metrics.latency_counts();
-        let committed = committed_now - self.committed;
-        let aborted = aborted_now - self.aborted;
-        let attempts = committed + aborted;
-        out.push(TimelineWindow {
-            start_us: self.win_start.duration_since(self.run_start).as_micros() as u64,
-            len_us,
-            committed,
-            aborted,
-            tps: committed as f64 / len.as_secs_f64(),
-            abort_rate: if attempts > 0 {
-                aborted as f64 / attempts as f64
-            } else {
-                0.0
-            },
-            p99_latency_ms: latency_now.percentile_us_since(&self.latency, 0.99) as f64 / 1000.0,
-        });
-        self.win_start = Instant::now();
-        self.committed = committed_now;
-        self.aborted = aborted_now;
-        self.latency = latency_now;
-    }
+/// The live registry counters a timeline window diffs: commits, aborted
+/// attempts and the commit-latency buckets.
+fn mark(metrics: &Metrics) -> (u64, u64, HistogramCounts) {
+    (
+        metrics.get(&txn::COMMITTED),
+        metrics.get(&txn::ABORTED),
+        metrics.histogram(&txn::LATENCY_US).counts(),
+    )
 }
 
 /// Sample the live metrics into ~100 ms [`TimelineWindow`]s until `stop` is
@@ -80,7 +50,8 @@ impl TimelineCursor {
 /// the duration of the measurement window.
 fn sample_timeline(metrics: &Metrics, stop: &AtomicBool) -> Vec<TimelineWindow> {
     let mut windows = Vec::new();
-    let mut cursor = TimelineCursor::new(metrics);
+    let run_start = Instant::now();
+    let (mut win_start, mut last) = (run_start, mark(metrics));
     while !stop.load(Ordering::Relaxed) {
         // Sleep in short slices so the sampler notices `stop` quickly and
         // the final partial window stays short.
@@ -90,7 +61,25 @@ fn sample_timeline(metrics: &Metrics, stop: &AtomicBool) -> Vec<TimelineWindow> 
             std::thread::sleep(slice);
             slept += slice;
         }
-        cursor.close_window(metrics, &mut windows);
+        // Close the window as a delta against the previous mark.
+        let len = win_start.elapsed();
+        let len_us = len.as_micros() as u64;
+        if len_us == 0 {
+            continue;
+        }
+        let now = mark(metrics);
+        let (committed, aborted) = (now.0 - last.0, now.1 - last.1);
+        windows.push(TimelineWindow {
+            start_us: win_start.duration_since(run_start).as_micros() as u64,
+            len_us,
+            committed,
+            aborted,
+            tps: committed as f64 / len.as_secs_f64(),
+            abort_rate: ratio(aborted as f64, (committed + aborted) as f64),
+            p99_latency_ms: now.2.percentile_us_since(&last.2, 0.99) as f64 / 1000.0,
+        });
+        win_start = Instant::now();
+        last = now;
     }
     windows
 }
@@ -207,7 +196,11 @@ pub fn run_on_cluster(
     workload: Arc<dyn Workload>,
     options: &ExperimentOptions,
 ) -> MetricsSnapshot {
-    let metrics = Arc::new(Metrics::new());
+    let metrics = Arc::new(Metrics::new(&[metrics::ALL]));
+    let record_recovery = |report: primo_recovery::RecoveryReport| {
+        metrics.add(&metrics::RECOVERY_TIME_US, report.duration_us);
+        metrics.add(&metrics::REPLAYED_TXNS, report.replayed_txns as u64);
+    };
     let stop = Arc::new(AtomicBool::new(false));
     let recording = Arc::new(AtomicBool::new(false));
 
@@ -276,9 +269,9 @@ pub fn run_on_cluster(
             // Real recovery: wipe + checkpoint restore + durable-log replay.
             // The partition stays unreachable while it runs.
             if let Some(report) = cluster.recover_partition(crash.partition) {
-                metrics.record_recovery(report.duration_us, report.replayed_txns as u64);
+                record_recovery(report);
             }
-            post_recovery = Some((metrics.committed(), Instant::now()));
+            post_recovery = Some((metrics.get(&txn::COMMITTED), Instant::now()));
             let rest = remaining.saturating_sub(to_crash + outage);
             std::thread::sleep(rest);
         }
@@ -297,15 +290,13 @@ pub fn run_on_cluster(
     }
 
     let elapsed = started.elapsed();
-    let post_recovery = post_recovery.map(|(committed_at_recovery, at)| {
-        let tail = at.elapsed().as_secs_f64();
-        let committed_after = metrics.committed().saturating_sub(committed_at_recovery);
-        if tail > 0.0 {
-            committed_after as f64 / tail
-        } else {
-            0.0
-        }
-    });
+    if let Some((committed_at_recovery, at)) = post_recovery {
+        let committed_after = metrics.get(&txn::COMMITTED) - committed_at_recovery;
+        metrics.set(
+            &metrics::POST_RECOVERY_TPS,
+            ratio(committed_after as f64, at.elapsed().as_secs_f64()),
+        );
+    }
     recording.store(false, Ordering::SeqCst);
     sampler_stop.store(true, Ordering::SeqCst);
     let timeline = sampler.join().unwrap_or_default();
@@ -321,41 +312,21 @@ pub fn run_on_cluster(
     // no experiment ever hands back a cluster with a dead partition.
     for p in cluster.crashed_partitions() {
         if let Some(report) = cluster.recover_partition(p) {
-            metrics.record_recovery(report.duration_us, report.replayed_txns as u64);
+            record_recovery(report);
         }
     }
-    // Every cluster-level counter travels through ClusterStats (no Default):
-    // adding a field there forces this literal — and therefore the figures —
-    // to account for it at compile time instead of silently reporting 0.
-    let mut snap = metrics.snapshot(
-        elapsed.as_secs_f64(),
-        ClusterStats {
-            pruned_versions: cluster.pruned_versions(),
-            post_recovery_tps: post_recovery.unwrap_or(0.0),
-            compensated_txns: cluster.compensated_txns(),
-            leader_changes: cluster.leader_changes(),
-            replication_lag_us: cluster.replication_lag_us(),
-            wal_append_wait_us: cluster.wal_append_wait_us(),
-            replication_batch_len: cluster.replication_batch_len(),
-            in_doubt_resolved: cluster.in_doubt_resolved(),
-            orphaned_txns: cluster.orphaned_txns(),
-            commit_decisions: cluster.commit_decisions(),
-            commit_decide_mean_us: cluster.commit_decide_mean_us(),
-            commit_decide_p99_us: cluster.commit_decide_p99_us(),
-            remote_round_trips_per_dist_txn: {
-                let dist = metrics.dist_committed();
-                if dist > 0 {
-                    cluster.net.round_trips_charged() as f64 / dist as f64
-                } else {
-                    0.0
-                }
-            },
-            prefetch_hit_rate: cluster.prefetch_hit_rate(),
-            timeline,
-        },
+    metrics.set(
+        &metrics::ROUND_TRIPS_PER_DIST_TXN,
+        ratio(
+            cluster.net.round_trips_charged() as f64,
+            metrics.get(&txn::DIST_COMMITTED) as f64,
+        ),
     );
-    snap.messages = cluster.net.messages_sent();
-    snap
+    metrics.snapshot(
+        elapsed.as_secs_f64(),
+        &[cluster.collect_metrics()],
+        timeline,
+    )
 }
 
 /// Build a fresh cluster for `config`, load `workload` into it, run the
@@ -510,8 +481,14 @@ mod tests {
             &opts,
         );
         assert!(snap.committed > 0);
-        assert!(snap.recovery_time_us > 0, "real recovery ran");
-        assert!(snap.post_recovery_tps > 0.0, "throughput resumed after it");
+        assert!(
+            snap.get(&metrics::RECOVERY_TIME_US) > 0,
+            "real recovery ran"
+        );
+        assert!(
+            snap.get(&metrics::POST_RECOVERY_TPS) > 0.0,
+            "throughput resumed after it"
+        );
     }
 
     #[test]
@@ -540,11 +517,34 @@ mod tests {
             Arc::new(CounterWorkload),
             &opts,
         );
-        assert!(snap.recovery_time_us > 0);
+        assert!(snap.get(&metrics::RECOVERY_TIME_US) > 0);
         assert!(
             cluster.crashed_partitions().is_empty(),
             "no partition may stay crashed at experiment end"
         );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn round_trips_per_dist_txn_is_zero_without_distributed_commits() {
+        let cluster = Cluster::new(ClusterConfig::for_tests(2));
+        for p in cluster.partition_ids() {
+            crate::txn::Workload::load_partition(&CounterWorkload, &cluster.partition(p).store, p);
+        }
+        // A charged round trip, but no distributed commit to divide it by.
+        cluster.net.round_trip(PartitionId(0), PartitionId(1));
+        let snap = run_on_cluster(
+            &cluster,
+            Arc::new(CounterProtocol),
+            Arc::new(CounterWorkload),
+            &ExperimentOptions::quick(),
+        );
+        assert!(snap.committed > 0);
+        assert_eq!(snap.get(&txn::DIST_COMMITTED), 0);
+        assert!(snap.get(&crate::cluster::metrics::ROUND_TRIPS) > 0.0);
+        assert_eq!(snap.get(&metrics::ROUND_TRIPS_PER_DIST_TXN), 0.0);
+        let json = snap.to_json().render();
+        assert!(!json.contains("NaN") && !json.contains(": inf"), "{json}");
         cluster.shutdown();
     }
 

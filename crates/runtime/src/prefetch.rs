@@ -32,6 +32,25 @@ use primo_common::{Key, PartitionId, TableId, Ts, TxnId};
 use primo_trace::TraceEventKind;
 use std::collections::HashMap;
 
+/// The remote-read fan-out's metrics (cluster-lifetime).
+pub mod metrics {
+    primo_common::metrics! {
+        /// Batched remote-read fan-outs issued (one per resolved non-empty
+        /// [`Footprint`](super::Footprint)).
+        FANOUTS: CounterDef("prefetch.fanouts", "fanouts");
+        /// Remote reads served from a prefetch buffer (no round trip).
+        HITS: CounterDef("prefetch.hits", "reads");
+        /// Remote reads whose prefetched record moved underneath the buffer
+        /// (fell back to a fresh round trip).
+        STALE: CounterDef("prefetch.stale", "reads");
+        /// Remote reads with no prefetch entry (unplanned keys, or batching
+        /// off): the sequential path.
+        MISSES: CounterDef("prefetch.misses", "reads");
+        /// hits / (hits + stale + misses); 0 when no remote read ran.
+        HIT_RATE: GaugeDef("prefetch.hit_rate", "ratio");
+    }
+}
+
 /// A remote-read plan: the out-of-home keys one transaction attempt expects
 /// to touch. Deduplicated; home-partition keys are dropped (local reads are
 /// free).
@@ -130,7 +149,7 @@ impl ReadFanout {
             self.entries.insert((*p, *t, *k), wts);
             keys += 1;
         }
-        cluster.note_prefetch_fanout();
+        cluster.metrics.inc(&metrics::FANOUTS);
         cluster.recorder.emit(
             Some(txn),
             Some(home),

@@ -11,6 +11,7 @@ use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::Protocol;
 use crate::txn::Workload;
 use primo_common::sim_time::charge_latency_us;
+use primo_common::stats::txn;
 use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
@@ -158,13 +159,13 @@ pub fn worker_loop(ctx: WorkerContext) {
                             // never enter the protocol path, so they stay
                             // out of the distributed-latency histogram.
                             ctx.metrics.record_commit(latency_us, &timers, false);
-                            ctx.metrics.record_snapshot_read();
+                            ctx.metrics.inc(&txn::SNAPSHOT_READS);
                         }
                         Err(e) => {
                             // Program-level abort (e.g. NotFound at the
                             // snapshot): final, never retried.
                             ctx.metrics.record_abort(e.reason());
-                            ctx.metrics.record_abandoned();
+                            ctx.metrics.inc(&txn::ABANDONED);
                         }
                     }
                 }
@@ -260,7 +261,7 @@ pub fn worker_loop(ctx: WorkerContext) {
                     }
                     if !reason.is_retryable() {
                         if ctx.recording.load(Ordering::Relaxed) {
-                            ctx.metrics.record_abandoned();
+                            ctx.metrics.inc(&txn::ABANDONED);
                         }
                         break 'attempts;
                     }

@@ -17,6 +17,7 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
+use primo_repro::metrics::{cluster, commit, experiment, txn};
 use primo_repro::{
     ClosureProgram, CommitMode, CrashPlan, Experiment, PartitionId, Primo, ProtocolKind, Scale,
     TableId, TraceEventKind, Value,
@@ -52,34 +53,36 @@ fn main() {
             "watermark interval {:>3} ms: {:>8.1} ktps, crash-abort rate {:.4}, avg latency {:.2} ms",
             interval_ms,
             snap.ktps(),
-            snap.crash_abort_rate,
+            snap.get(&txn::CRASH_ABORT_RATE),
             snap.mean_latency_ms
         );
         println!(
             "    recovery: {:.2} ms to wipe + restore + replay {} txns; \
              {} rolled-back txns compensated on survivors; post-recovery {:>8.1} ktps",
-            snap.recovery_time_us as f64 / 1000.0,
-            snap.replayed_txns,
-            snap.compensated_txns,
-            snap.post_recovery_tps / 1000.0
+            snap.get(&experiment::RECOVERY_TIME_US) as f64 / 1000.0,
+            snap.get(&experiment::REPLAYED_TXNS),
+            snap.get(&cluster::COMPENSATED_TXNS),
+            snap.get(&experiment::POST_RECOVERY_TPS) / 1000.0
         );
         println!(
             "    replicated log: {} leader hand-off(s), replication lag {} us \
              (append -> quorum ack)",
-            snap.leader_changes, snap.replication_lag_us
+            snap.get(&cluster::LEADER_CHANGES),
+            snap.get(&cluster::REPLICATION_LAG_US)
         );
         println!(
             "    append pipeline: committers blocked {} us on the sequencer; \
              pump batches averaged {:.1} entr(ies)",
-            snap.wal_append_wait_us, snap.replication_batch_len
+            snap.get(&cluster::APPEND_WAIT_US),
+            snap.get(&cluster::REPLICATION_BATCH_LEN)
         );
         println!(
             "    atomic commit: {} distributed decisions, prepare->decide mean {:.0} us \
              / p99 {} us; {} in-doubt resolved",
-            snap.commit_decisions,
-            snap.commit_decide_mean_us,
-            snap.commit_decide_p99_us,
-            snap.in_doubt_resolved
+            snap.get(&commit::DECIDE_US).count,
+            snap.get(&commit::DECIDE_US).mean_us,
+            snap.get(&commit::DECIDE_US).p99_us,
+            snap.get(&commit::IN_DOUBT_RESOLVED)
         );
     }
     println!();
@@ -115,11 +118,11 @@ fn coordinator_crash(scale: &Scale) {
              (mean {:.0} us, p99 {} us), {} in-doubt resolved, {} orphaned",
             mode.label(),
             snap.ktps(),
-            snap.commit_decisions,
-            snap.commit_decide_mean_us,
-            snap.commit_decide_p99_us,
-            snap.in_doubt_resolved,
-            snap.orphaned_txns
+            snap.get(&commit::DECIDE_US).count,
+            snap.get(&commit::DECIDE_US).mean_us,
+            snap.get(&commit::DECIDE_US).p99_us,
+            snap.get(&commit::IN_DOUBT_RESOLVED),
+            snap.get(&commit::ORPHANED_TXNS)
         );
     }
     println!("Paxos Commit terminates the stranded transaction (in-doubt resolved, nothing");

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example snapshot_reads`
 
+use primo_repro::metrics::{cluster, txn};
 use primo_repro::{Experiment, ProtocolKind, Scale};
 
 fn main() {
@@ -44,10 +45,10 @@ fn main() {
                 "baseline (validate)"
             },
             snap.ktps(),
-            snap.p99_latency_ms,
-            snap.snapshot_read_tps,
-            snap.snapshot_reads,
-            snap.pruned_versions
+            snap.get(&txn::LATENCY_US).p99_ms(),
+            snap.get(&txn::SNAPSHOT_READ_TPS),
+            snap.get(&txn::SNAPSHOT_READS),
+            snap.get(&cluster::PRUNED_VERSIONS)
         );
     }
     println!(

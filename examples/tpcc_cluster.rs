@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example tpcc_cluster`
 
+use primo_repro::metrics::txn;
 use primo_repro::{Experiment, Phase, ProtocolKind, Scale};
 
 fn main() {
@@ -32,9 +33,12 @@ fn main() {
 
     println!("committed:     {}", snap.committed);
     println!("throughput:    {:.1} ktps", snap.ktps());
-    println!("abort rate:    {:.3}", snap.abort_rate);
+    println!("abort rate:    {:.3}", snap.get(&txn::ABORT_RATE));
     println!("avg latency:   {:.2} ms", snap.mean_latency_ms);
-    println!("p99 latency:   {:.2} ms", snap.p99_latency_ms);
+    println!(
+        "p99 latency:   {:.2} ms",
+        snap.get(&txn::LATENCY_US).p99_ms()
+    );
     println!("latency breakdown per committed transaction:");
     for phase in Phase::ALL {
         let ms = snap.phase(phase);

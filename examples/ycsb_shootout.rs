@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example ycsb_shootout`
 
+use primo_repro::metrics::{experiment, prefetch, txn};
 use primo_repro::{Experiment, ProtocolKind, Scale};
 
 fn main() {
@@ -51,13 +52,13 @@ fn main() {
             "{:<12} {:>12.1} {:>12.3} {:>12.2} {:>12.2} {:>12} {:>12.2} {:>9.1}% {:>12.2}",
             kind.label(),
             snap.ktps(),
-            snap.abort_rate,
+            snap.get(&txn::ABORT_RATE),
             snap.mean_latency_ms,
-            snap.p99_latency_ms,
-            snap.snapshot_reads,
-            snap.remote_round_trips_per_dist_txn,
-            snap.prefetch_hit_rate * 100.0,
-            snap.dist_txn_p99_ms
+            snap.get(&txn::LATENCY_US).p99_ms(),
+            snap.get(&txn::SNAPSHOT_READS),
+            snap.get(&experiment::ROUND_TRIPS_PER_DIST_TXN),
+            snap.get(&prefetch::HIT_RATE) * 100.0,
+            snap.get(&txn::DIST_LATENCY_US).p99_ms()
         );
     }
 }

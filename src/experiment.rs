@@ -21,6 +21,7 @@
 //! assert!(snap.committed > 0);
 //! ```
 
+use crate::facade::{ClusterTweak, ConfigBase};
 use crate::registry::ProtocolRegistry;
 use primo_common::config::{ClusterConfig, CommitMode, LoggingScheme, ProtocolKind};
 use primo_common::{MetricsSnapshot, PartitionId};
@@ -45,8 +46,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Quick mode: every figure in a few minutes (used by CI and the recorded
-    /// outputs in EXPERIMENTS.md).
+    /// Quick mode: every figure in a few minutes (used by CI and the
+    /// committed `BENCH_*.json` matrix).
     pub fn quick() -> Self {
         Scale {
             partitions: 4,
@@ -112,9 +113,6 @@ enum WorkloadSpec {
     Smallbank(SmallbankConfig),
     Custom(Arc<dyn Workload>),
 }
-
-/// A deferred edit to the assembled [`ClusterConfig`].
-type ClusterTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
 
 /// Fluent builder for one experiment run. See the module docs for an example.
 pub struct ExperimentBuilder {
@@ -361,31 +359,20 @@ impl ExperimentBuilder {
 
     /// The cluster configuration this experiment would run with.
     fn cluster_config(&mut self) -> ClusterConfig {
-        let mut cfg = if self.fast_local {
-            ClusterConfig::for_tests(self.scale.partitions)
-        } else {
-            ClusterConfig {
-                num_partitions: self.scale.partitions,
-                ..ClusterConfig::default()
-            }
-        };
-        cfg.workers_per_partition = self.scale.workers_per_partition;
-        cfg.wal.scheme = self
-            .logging_override
-            .unwrap_or_else(|| self.registry.logging_scheme_for(self.kind));
-        cfg.commit_mode = self
-            .commit_override
-            .unwrap_or_else(|| self.registry.commit_mode_for(self.kind));
-        if !self.fast_local {
+        ConfigBase {
+            registry: &self.registry,
+            kind: self.kind,
+            partitions: self.scale.partitions,
+            workers_per_partition: Some(self.scale.workers_per_partition),
+            fast_local: self.fast_local,
+            logging: self.logging_override,
+            commit: self.commit_override,
             // Paper §6.2: the epoch size of COCO and the watermark interval
             // of WM are unified (20 ms) so all protocols see ~10 ms avg
             // commit latency. `fast_local` keeps the 1 ms test interval.
-            cfg.wal.interval_ms = 20;
+            wal_interval_ms: (!self.fast_local).then_some(20),
         }
-        for tweak in self.cluster_tweaks.drain(..) {
-            tweak(&mut cfg);
-        }
-        cfg
+        .assemble(self.cluster_tweaks.drain(..))
     }
 
     /// Build the cluster, load the workload, run the measurement and return

@@ -46,7 +46,54 @@ use primo_runtime::worker::run_single_txn;
 use std::sync::Arc;
 
 /// A deferred edit to the assembled [`ClusterConfig`].
-type ClusterTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
+/// A deferred edit to the assembled [`ClusterConfig`].
+pub(crate) type ClusterTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
+
+/// What both builders ([`ClusterBuilder`] and
+/// [`ExperimentBuilder`](crate::ExperimentBuilder)) choose about a cluster;
+/// [`ConfigBase::assemble`] is the one place it becomes a [`ClusterConfig`].
+pub(crate) struct ConfigBase<'a> {
+    pub(crate) registry: &'a ProtocolRegistry,
+    pub(crate) kind: ProtocolKind,
+    pub(crate) partitions: usize,
+    pub(crate) workers_per_partition: Option<usize>,
+    pub(crate) fast_local: bool,
+    pub(crate) logging: Option<LoggingScheme>,
+    pub(crate) commit: Option<CommitMode>,
+    pub(crate) wal_interval_ms: Option<u64>,
+}
+
+impl ConfigBase<'_> {
+    /// The `fast_local` (test timing) or default base, then the worker
+    /// count, the registry's group-commit scheme and commit mode for `kind`
+    /// unless overridden, the WAL interval, and last the tweaks in order.
+    pub(crate) fn assemble(self, tweaks: impl IntoIterator<Item = ClusterTweak>) -> ClusterConfig {
+        let mut config = if self.fast_local {
+            ClusterConfig::for_tests(self.partitions)
+        } else {
+            ClusterConfig {
+                num_partitions: self.partitions,
+                ..ClusterConfig::default()
+            }
+        };
+        if let Some(workers) = self.workers_per_partition {
+            config.workers_per_partition = workers;
+        }
+        config.wal.scheme = self
+            .logging
+            .unwrap_or_else(|| self.registry.logging_scheme_for(self.kind));
+        config.commit_mode = self
+            .commit
+            .unwrap_or_else(|| self.registry.commit_mode_for(self.kind));
+        if let Some(ms) = self.wal_interval_ms {
+            config.wal.interval_ms = ms;
+        }
+        for tweak in tweaks {
+            tweak(&mut config);
+        }
+        config
+    }
+}
 
 /// Fluent builder for a [`Primo`] cluster handle.
 ///
@@ -224,29 +271,17 @@ impl ClusterBuilder {
 
     /// Assemble the cluster and return the [`Primo`] handle.
     pub fn build(self) -> Primo {
-        let mut config = if self.fast_local {
-            ClusterConfig::for_tests(self.partitions)
-        } else {
-            ClusterConfig {
-                num_partitions: self.partitions,
-                ..ClusterConfig::default()
-            }
-        };
-        if let Some(workers) = self.workers_per_partition {
-            config.workers_per_partition = workers;
+        let config = ConfigBase {
+            registry: &self.registry,
+            kind: self.kind,
+            partitions: self.partitions,
+            workers_per_partition: self.workers_per_partition,
+            fast_local: self.fast_local,
+            logging: self.logging_override,
+            commit: self.commit_override,
+            wal_interval_ms: self.wal_interval_ms,
         }
-        config.wal.scheme = self
-            .logging_override
-            .unwrap_or_else(|| self.registry.logging_scheme_for(self.kind));
-        config.commit_mode = self
-            .commit_override
-            .unwrap_or_else(|| self.registry.commit_mode_for(self.kind));
-        if let Some(ms) = self.wal_interval_ms {
-            config.wal.interval_ms = ms;
-        }
-        for tweak in self.tweaks {
-            tweak(&mut config);
-        }
+        .assemble(self.tweaks);
         let protocol = self
             .protocol_override
             .unwrap_or_else(|| self.registry.build(self.kind));

@@ -82,6 +82,17 @@ pub use primo_workloads::{
 };
 
 // Namespaced access to the sub-crates for advanced integration.
+/// Every metric definition, grouped by the module that records it, for
+/// typed [`MetricsSnapshot::get`] lookups: `snap.get(&metrics::txn::ABORT_RATE)`.
+/// Names and units are listed in ARCHITECTURE.md, "Metrics".
+pub mod metrics {
+    pub use primo_common::stats::txn;
+    pub use primo_runtime::cluster::metrics as cluster;
+    pub use primo_runtime::commit::metrics as commit;
+    pub use primo_runtime::experiment::metrics as experiment;
+    pub use primo_runtime::prefetch::metrics as prefetch;
+}
+
 pub use primo_baselines as baselines;
 pub use primo_common as common;
 pub use primo_core as core;

@@ -74,55 +74,41 @@ impl ProtocolRegistry {
     /// The standard registry: Primo, both ablations and all five baselines,
     /// each paired with its group-commit scheme per §6.1.3.
     pub fn standard() -> Self {
+        use LoggingScheme::{CocoEpoch, Watermark};
         let mut reg = Self::empty();
-        reg.register(
-            ProtocolKind::TwoPlNoWait,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(TwoPlProtocol::no_wait())),
-        );
-        reg.register(
-            ProtocolKind::TwoPlWaitDie,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(TwoPlProtocol::wait_die())),
-        );
-        reg.register(
-            ProtocolKind::Silo,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(SiloProtocol::new())),
-        );
-        reg.register(
-            ProtocolKind::Sundial,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(SundialProtocol::new())),
-        );
-        // Aria logs inputs in its sequencing layer and TAPIR replicates in
-        // its prepare round: both confirm durability themselves, so the
-        // configured scheme is not on their commit path.
-        reg.register(
-            ProtocolKind::Aria,
-            LoggingScheme::Watermark,
-            Arc::new(|| Arc::new(AriaProtocol::new(Default::default()))),
-        );
-        reg.register(
-            ProtocolKind::Tapir,
-            LoggingScheme::Watermark,
-            Arc::new(|| Arc::new(TapirProtocol::new())),
-        );
-        reg.register(
-            ProtocolKind::Primo,
-            LoggingScheme::Watermark,
-            Arc::new(|| Arc::new(PrimoProtocol::full())),
-        );
-        reg.register(
-            ProtocolKind::PrimoNoWm,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(PrimoProtocol::full().labeled("Primo w/o WM"))),
-        );
-        reg.register(
-            ProtocolKind::PrimoNoWcfNoWm,
-            LoggingScheme::CocoEpoch,
-            Arc::new(|| Arc::new(PrimoProtocol::without_wcf().labeled("Primo w/o WM & WCF"))),
-        );
+        for kind in ProtocolKind::ALL {
+            let (logging, ctor): (LoggingScheme, ProtocolCtor) = match kind {
+                ProtocolKind::TwoPlNoWait => {
+                    (CocoEpoch, Arc::new(|| Arc::new(TwoPlProtocol::no_wait())))
+                }
+                ProtocolKind::TwoPlWaitDie => {
+                    (CocoEpoch, Arc::new(|| Arc::new(TwoPlProtocol::wait_die())))
+                }
+                ProtocolKind::Silo => (CocoEpoch, Arc::new(|| Arc::new(SiloProtocol::new()))),
+                ProtocolKind::Sundial => (CocoEpoch, Arc::new(|| Arc::new(SundialProtocol::new()))),
+                // Aria logs inputs in its sequencing layer and TAPIR
+                // replicates in its prepare round: both confirm durability
+                // themselves, so the configured scheme is not on their
+                // commit path.
+                ProtocolKind::Aria => (
+                    Watermark,
+                    Arc::new(|| Arc::new(AriaProtocol::new(Default::default()))),
+                ),
+                ProtocolKind::Tapir => (Watermark, Arc::new(|| Arc::new(TapirProtocol::new()))),
+                ProtocolKind::Primo => (Watermark, Arc::new(|| Arc::new(PrimoProtocol::full()))),
+                ProtocolKind::PrimoNoWm => (
+                    CocoEpoch,
+                    Arc::new(|| Arc::new(PrimoProtocol::full().labeled("Primo w/o WM"))),
+                ),
+                ProtocolKind::PrimoNoWcfNoWm => (
+                    CocoEpoch,
+                    Arc::new(|| {
+                        Arc::new(PrimoProtocol::without_wcf().labeled("Primo w/o WM & WCF"))
+                    }),
+                ),
+            };
+            reg.register(kind, logging, ctor);
+        }
         reg
     }
 
@@ -223,17 +209,7 @@ mod tests {
     #[test]
     fn standard_registry_covers_every_kind() {
         let reg = ProtocolRegistry::standard();
-        for kind in [
-            ProtocolKind::TwoPlNoWait,
-            ProtocolKind::TwoPlWaitDie,
-            ProtocolKind::Silo,
-            ProtocolKind::Sundial,
-            ProtocolKind::Aria,
-            ProtocolKind::Tapir,
-            ProtocolKind::Primo,
-            ProtocolKind::PrimoNoWm,
-            ProtocolKind::PrimoNoWcfNoWm,
-        ] {
+        for kind in ProtocolKind::ALL {
             let p = reg.build(kind);
             assert_eq!(p.name(), kind.label(), "{kind:?} label mismatch");
         }

@@ -15,6 +15,7 @@
 //! (CI runs 8 in release); the default of 1 keeps the debug tier-1 run
 //! cheap.
 
+use primo_repro::metrics::commit;
 use primo_repro::recovery::in_doubt_votes;
 use primo_repro::wal::LogPayload;
 use primo_repro::{
@@ -25,25 +26,6 @@ use std::time::Duration;
 
 const T: TableId = TableId(0);
 const KEYS: u64 = 8;
-
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::SyncPerTxn,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::Watermark,
-];
 
 fn seed_count() -> u64 {
     std::env::var("PRIMO_COORD_CRASH_SEEDS")
@@ -144,8 +126,8 @@ fn assert_no_blocked_locks(primo: &Primo, label: &str) {
 #[test]
 fn paxos_commit_terminates_coordinator_crashes_across_the_matrix() {
     for seed in 0..seed_count() {
-        for kind in ALL_KINDS {
-            for scheme in ALL_SCHEMES {
+        for kind in ProtocolKind::ALL {
+            for scheme in LoggingScheme::ALL {
                 let label = format!("{kind:?}/{scheme:?}/seed{seed}");
                 let primo = loaded(kind, scheme, CommitMode::PaxosCommit, 0xC0DE + seed);
                 coordinator_crash_storm(&primo, 20);
@@ -154,7 +136,7 @@ fn paxos_commit_terminates_coordinator_crashes_across_the_matrix() {
                 // the trap may stay armed — that is consistent termination
                 // too; what may never happen is an orphan.
                 assert_eq!(
-                    primo.cluster().orphaned_txns(),
+                    primo.cluster().metrics.get(&commit::ORPHANED_TXNS),
                     0,
                     "{label}: Paxos Commit orphaned a transaction"
                 );
@@ -190,7 +172,7 @@ fn the_loop_catches_classic_two_pc_blocking() {
         "classic 2PC should have blocked on the orphaned transaction's locks"
     );
     assert_eq!(
-        primo.cluster().orphaned_txns(),
+        primo.cluster().metrics.get(&commit::ORPHANED_TXNS),
         1,
         "the coordinator crash should have orphaned exactly the trapped transaction"
     );
@@ -293,12 +275,17 @@ fn coordinator_crash_plan_reports_in_doubt_metrics() {
         ))
         .run();
     assert!(snap.committed > 0);
-    assert_eq!(snap.orphaned_txns, 0, "Paxos Commit must not orphan");
     assert_eq!(
-        snap.in_doubt_resolved, 1,
+        snap.get(&commit::ORPHANED_TXNS),
+        0,
+        "Paxos Commit must not orphan"
+    );
+    assert_eq!(
+        snap.get(&commit::IN_DOUBT_RESOLVED),
+        1,
         "the trapped transaction resolves from the durable vote set"
     );
-    assert!(snap.commit_decisions > 0);
-    assert!(snap.commit_decide_mean_us > 0.0);
-    assert!(snap.commit_decide_p99_us > 0);
+    assert!(snap.get(&commit::DECIDE_US).count > 0);
+    assert!(snap.get(&commit::DECIDE_US).mean_us > 0.0);
+    assert!(snap.get(&commit::DECIDE_US).p99_us > 0);
 }

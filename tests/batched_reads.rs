@@ -14,6 +14,7 @@
 //!   outcomes and byte-identical stores — including across an injected
 //!   partition crash and real recovery.
 
+use primo_repro::metrics::prefetch;
 use primo_repro::{
     AbortReason, FastRng, Key, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId,
     TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
@@ -21,25 +22,6 @@ use primo_repro::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::Watermark,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::SyncPerTxn,
-];
 
 const T: TableId = TableId(0);
 const LOADED_KEYS: u64 = 32;
@@ -121,7 +103,7 @@ fn batching_saves_m_minus_one_round_trips_for_every_protocol() {
             (PartitionId(1), 5),
         ],
     };
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let seq = round_trips_for(kind, false, &program);
         let bat = round_trips_for(kind, true, &program);
         assert_eq!(
@@ -228,9 +210,9 @@ fn prefetch_counters_and_trace_events_record_the_fan_out() {
     };
     primo.session().run_program(&program).unwrap();
     let cluster = primo.cluster();
-    assert_eq!(cluster.prefetch_fanouts(), 1);
-    assert_eq!(cluster.prefetch_hits(), 3);
-    assert_eq!(cluster.prefetch_stale(), 0);
+    assert_eq!(cluster.metrics.get(&prefetch::FANOUTS), 1);
+    assert_eq!(cluster.metrics.get(&prefetch::HITS), 3);
+    assert_eq!(cluster.metrics.get(&prefetch::STALE), 0);
     assert!((cluster.prefetch_hit_rate() - 1.0).abs() < 1e-9);
 
     let timeline = cluster.recorder.merge();
@@ -286,10 +268,13 @@ fn stale_prefetch_falls_back_to_a_live_read() {
     primo.session().run_program(&program).unwrap();
     let cluster = primo.cluster();
     assert!(
-        cluster.prefetch_stale() >= 1,
+        cluster.metrics.get(&prefetch::STALE) >= 1,
         "the bumped key must be stale"
     );
-    assert!(cluster.prefetch_hits() >= 1, "the untouched key still hits");
+    assert!(
+        cluster.metrics.get(&prefetch::HITS) >= 1,
+        "the untouched key still hits"
+    );
     let stale_events = cluster
         .recorder
         .merge()
@@ -337,9 +322,13 @@ fn learned_footprint_batches_the_retry() {
     assert_eq!(attempts, 2, "exactly one retry");
     let cluster = primo.cluster();
     // Attempt 1: no plan -> 3 misses. Attempt 2: learned plan -> 3 hits.
-    assert_eq!(cluster.prefetch_fanouts(), 1, "only the retry fans out");
-    assert_eq!(cluster.prefetch_hits(), 3);
-    assert_eq!(cluster.prefetch_misses(), 3);
+    assert_eq!(
+        cluster.metrics.get(&prefetch::FANOUTS),
+        1,
+        "only the retry fans out"
+    );
+    assert_eq!(cluster.metrics.get(&prefetch::HITS), 3);
+    assert_eq!(cluster.metrics.get(&prefetch::MISSES), 3);
     primo.shutdown();
 }
 
@@ -445,8 +434,8 @@ fn equivalent_with_and_without_batching(kind: ProtocolKind, scheme: LoggingSchem
 
 #[test]
 fn batched_and_sequential_runs_are_equivalent_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             equivalent_with_and_without_batching(kind, scheme);
         }
     }

@@ -2,6 +2,7 @@
 //! workload combination used by the figure harnesses must run, commit
 //! transactions and produce sensible metrics on a miniature cluster.
 
+use primo_repro::metrics::txn;
 use primo_repro::{
     CrashPlan, Experiment, LoggingScheme, PartitionId, Phase, ProtocolKind, Scale, SmallbankConfig,
     YcsbConfig,
@@ -42,7 +43,7 @@ fn every_protocol_commits_on_ycsb() {
         assert!(snap.committed > 0, "{name} committed nothing");
         assert!(snap.throughput_tps > 0.0, "{name} has zero throughput");
         assert!(snap.mean_latency_ms >= 0.0);
-        assert!(snap.abort_rate >= 0.0 && snap.abort_rate <= 1.0);
+        assert!(snap.get(&txn::ABORT_RATE) >= 0.0 && snap.get(&txn::ABORT_RATE) <= 1.0);
     }
 }
 

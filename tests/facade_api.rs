@@ -7,18 +7,6 @@ use primo_repro::{
     Value,
 };
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
 #[test]
 fn default_cluster_builder_is_primo_on_watermark() {
     let primo = Primo::builder().fast_local().build();
@@ -61,8 +49,8 @@ fn cluster_builder_knobs_reach_the_cluster() {
 #[test]
 fn registry_round_trips_every_kind() {
     let registry = ProtocolRegistry::standard();
-    assert_eq!(registry.kinds().len(), ALL_KINDS.len());
-    for kind in ALL_KINDS {
+    assert_eq!(registry.kinds().len(), ProtocolKind::ALL.len());
+    for kind in ProtocolKind::ALL {
         // kind -> entry -> protocol -> name -> entry -> kind
         let entry = registry.entry(kind).expect("kind registered");
         assert_eq!(entry.kind, kind);
@@ -77,7 +65,7 @@ fn registry_round_trips_every_kind() {
 
 #[test]
 fn every_protocol_builds_a_working_cluster_handle() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let primo = Primo::builder()
             .partitions(2)
             .protocol(kind)
@@ -96,7 +84,7 @@ fn every_protocol_builds_a_working_cluster_handle() {
 
 #[test]
 fn smoke_experiment_per_protocol_on_tiny_ycsb() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let snap = Experiment::new()
             .protocol(kind)
             .scale(Scale {

@@ -10,6 +10,7 @@
 //! output is always commit-timestamp-sorted and deduplicated.
 
 use primo_repro::common::PhaseTimers;
+use primo_repro::metrics::{cluster, experiment};
 use primo_repro::storage::LifecycleState;
 use primo_repro::wal::{
     CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, PartitionWal, ReplayBound,
@@ -20,25 +21,6 @@ use primo_repro::{
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::Watermark,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::SyncPerTxn,
-];
 
 const T: TableId = TableId(0);
 const LOADED_KEYS: u64 = 16;
@@ -274,8 +256,8 @@ fn byte_identical_after_crash(kind: ProtocolKind, scheme: LoggingScheme, discard
 
 #[test]
 fn recovered_store_is_byte_identical_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             byte_identical_after_crash(kind, scheme, false);
         }
     }
@@ -287,8 +269,8 @@ fn recovered_store_is_byte_identical_for_all_protocols_and_schemes() {
 /// protocol under every group-commit scheme.
 #[test]
 fn replica_loss_recovery_is_byte_identical_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             byte_identical_after_crash(kind, scheme, true);
         }
     }
@@ -473,10 +455,16 @@ fn experiment_pipeline_reports_recovery_metrics() {
         ))
         .run();
     assert!(snap.committed > 0);
-    assert!(snap.recovery_time_us > 0, "recovery latency reported");
-    assert!(snap.post_recovery_tps > 0.0, "throughput resumed");
     assert!(
-        snap.replication_lag_us > 0,
+        snap.get(&experiment::RECOVERY_TIME_US) > 0,
+        "recovery latency reported"
+    );
+    assert!(
+        snap.get(&experiment::POST_RECOVERY_TPS) > 0.0,
+        "throughput resumed"
+    );
+    assert!(
+        snap.get(&cluster::REPLICATION_LAG_US) > 0.0,
         "append-to-quorum-ack lag reported (single copy: the persist delay)"
     );
 }
@@ -684,8 +672,8 @@ impl TxnProgram for DoomedProgram {
 
 #[test]
 fn crash_abort_rolls_back_surviving_partitions_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             let label = format!("{}/{}", kind.label(), scheme.label());
             let primo = build_for_crash_abort(kind, scheme, kind as u64 * 37 + scheme as u64 + 1);
             let session = primo.session();
