@@ -4,7 +4,13 @@
 //! in one process and charges network / disk latency by making the calling
 //! thread wait. Short waits (< ~200 µs) are spin-waits so that the scheduler
 //! does not add millisecond-level noise; longer waits sleep.
+//!
+//! Background threads (watermark agents, the control-bus pump, the in-doubt
+//! resolver) do not poll: they park until the next instant on the
+//! [`now_us`] clock at which something is due, or until another thread
+//! notifies them ([`park_until`], [`sleep_until_us`]).
 
+use parking_lot::{Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Threshold below which we spin instead of sleeping.
@@ -39,6 +45,28 @@ pub fn now_us() -> u64 {
     origin.elapsed().as_micros() as u64
 }
 
+/// Park on `cond` (releasing `guard`) until the [`now_us`] instant
+/// `deadline_us` passes or the condvar is notified. Returns whether the
+/// deadline has passed; a notify or a spurious wake-up returns `false`, so
+/// callers re-check their condition in a loop. `u64::MAX` parks until
+/// notified.
+pub fn park_until<T>(cond: &Condvar, guard: &mut MutexGuard<'_, T>, deadline_us: u64) -> bool {
+    let now = now_us();
+    if now >= deadline_us {
+        return true;
+    }
+    cond.wait_for(guard, Duration::from_micros(deadline_us - now));
+    now_us() >= deadline_us
+}
+
+/// Sleep until the [`now_us`] instant `deadline_us` (no-op if it passed).
+pub fn sleep_until_us(deadline_us: u64) {
+    let now = now_us();
+    if deadline_us > now {
+        std::thread::sleep(Duration::from_micros(deadline_us - now));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,5 +95,44 @@ mod tests {
         spin_us(10);
         let b = now_us();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn park_until_returns_at_the_deadline() {
+        let (lock, cond) = (parking_lot::Mutex::new(()), Condvar::new());
+        let mut guard = lock.lock();
+        let deadline = now_us() + 2_000;
+        while !park_until(&cond, &mut guard, deadline) {}
+        assert!(now_us() >= deadline);
+        // A deadline already in the past returns at once.
+        assert!(park_until(&cond, &mut guard, 0));
+    }
+
+    #[test]
+    fn park_until_wakes_on_notify() {
+        use std::sync::Arc;
+        let shared = Arc::new((parking_lot::Mutex::new(false), Condvar::new()));
+        let notifier = Arc::clone(&shared);
+        let start = Instant::now();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(2));
+            *notifier.0.lock() = true;
+            notifier.1.notify_one();
+        });
+        let mut woken = shared.0.lock();
+        while !*woken {
+            assert!(!park_until(&shared.1, &mut woken, u64::MAX));
+        }
+        drop(woken);
+        t.join().unwrap();
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn sleep_until_reaches_the_deadline() {
+        let deadline = now_us() + 1_500;
+        sleep_until_us(deadline);
+        assert!(now_us() >= deadline);
+        sleep_until_us(0);
     }
 }

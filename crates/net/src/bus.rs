@@ -4,16 +4,16 @@
 //! transaction critical path; they are broadcast asynchronously and may be
 //! delayed (Fig 13a studies exactly that). The [`DelayedBus`] delivers
 //! messages to per-partition mailboxes after `base_delay + per-destination
-//! extra delay`, using a background pump thread.
+//! extra delay`, using a background pump thread that parks until the head
+//! message is due.
 
 use parking_lot::{Condvar, Mutex};
-use primo_common::sim_time::now_us;
+use primo_common::sim_time::{now_us, park_until};
 use primo_common::PartitionId;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Control messages exchanged between partition leaders outside the
 /// transaction critical path.
@@ -69,32 +69,79 @@ impl Ord for Pending {
 /// partition drains them.
 #[derive(Debug, Default)]
 struct Mailbox {
-    queue: Mutex<VecDeque<BusMessage>>,
+    state: Mutex<Inbox>,
     available: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Inbox {
+    queue: VecDeque<BusMessage>,
+    /// Set by [`DelayedBus::wake`]: the next (or current) parked receive
+    /// returns even without mail.
+    woken: bool,
 }
 
 impl Mailbox {
     fn push(&self, msg: BusMessage) {
-        self.queue.lock().push_back(msg);
-        self.available.notify_all();
+        self.state.lock().queue.push_back(msg);
+        self.available.notify_one();
     }
 
-    fn try_pop(&self) -> Option<BusMessage> {
-        self.queue.lock().pop_front()
+    fn wake(&self) {
+        self.state.lock().woken = true;
+        self.available.notify_one();
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> Option<BusMessage> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(msg) = q.pop_front() {
-                return Some(msg);
+    /// Everything delivered so far, parking first until there is mail, a
+    /// wake-up or the `now_us` instant `deadline_us`.
+    fn take_until(&self, deadline_us: u64) -> Vec<BusMessage> {
+        let mut inbox = self.state.lock();
+        while inbox.queue.is_empty() && !inbox.woken {
+            if park_until(&self.available, &mut inbox, deadline_us) {
+                break;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
+        }
+        inbox.woken = false;
+        inbox.queue.drain(..).collect()
+    }
+}
+
+/// Messages in flight, ordered by delivery time.
+#[derive(Debug, Default)]
+struct InFlight {
+    heap: BinaryHeap<Pending>,
+    seq: u64,
+    stopped: bool,
+}
+
+/// What the pump thread shares with the bus handle. The pump holds this,
+/// not the [`DelayedBus`], so dropping the last handle can stop it.
+#[derive(Debug)]
+struct Core {
+    inboxes: Vec<Mailbox>,
+    in_flight: Mutex<InFlight>,
+    /// Wakes the parked pump: a message due before the current head, or
+    /// shutdown.
+    pump_wake: Condvar,
+}
+
+impl Core {
+    /// Deliver every due message, then park until the head message is due
+    /// (or a send brings an earlier one, or shutdown).
+    fn pump_loop(&self) {
+        let mut in_flight = self.in_flight.lock();
+        while !in_flight.stopped {
+            let now = now_us();
+            while in_flight
+                .heap
+                .peek()
+                .is_some_and(|top| top.deliver_at_us <= now)
+            {
+                let p = in_flight.heap.pop().unwrap();
+                self.inboxes[p.to.idx()].push(p.msg);
             }
-            self.available.wait_for(&mut q, deadline - now);
+            let next = in_flight.heap.peek().map_or(u64::MAX, |p| p.deliver_at_us);
+            park_until(&self.pump_wake, &mut in_flight, next);
         }
     }
 }
@@ -102,62 +149,33 @@ impl Mailbox {
 /// Delay-injecting broadcast bus for control messages.
 #[derive(Debug)]
 pub struct DelayedBus {
-    inboxes: Vec<Mailbox>,
-    queue: Arc<Mutex<BinaryHeap<Pending>>>,
+    core: Arc<Core>,
     /// Base one-way delay for control messages, microseconds.
     base_delay_us: AtomicU64,
     /// Extra delay applied to messages *from* a given partition (simulates a
     /// lagging sender, Fig 13a).
     extra_from_us: Vec<AtomicU64>,
-    seq: AtomicU64,
-    stop: Arc<AtomicBool>,
     pump: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl DelayedBus {
     pub fn new(num_partitions: usize, base_delay_us: u64) -> Arc<Self> {
-        let inboxes = (0..num_partitions).map(|_| Mailbox::default()).collect();
-        let bus = Arc::new(DelayedBus {
-            inboxes,
-            queue: Arc::new(Mutex::new(BinaryHeap::new())),
+        let core = Arc::new(Core {
+            inboxes: (0..num_partitions).map(|_| Mailbox::default()).collect(),
+            in_flight: Mutex::new(InFlight::default()),
+            pump_wake: Condvar::new(),
+        });
+        let pump_core = Arc::clone(&core);
+        let pump = std::thread::Builder::new()
+            .name("bus-pump".into())
+            .spawn(move || pump_core.pump_loop())
+            .expect("spawn bus pump");
+        Arc::new(DelayedBus {
+            core,
             base_delay_us: AtomicU64::new(base_delay_us),
             extra_from_us: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
-            seq: AtomicU64::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
-            pump: Mutex::new(None),
-        });
-        bus.start_pump();
-        bus
-    }
-
-    fn start_pump(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("bus-pump".into())
-            .spawn(move || me.pump_loop())
-            .expect("spawn bus pump");
-        *self.pump.lock() = Some(handle);
-    }
-
-    fn pump_loop(&self) {
-        while !self.stop.load(Ordering::Relaxed) {
-            let now = now_us();
-            let mut delivered_any = false;
-            {
-                let mut q = self.queue.lock();
-                while let Some(top) = q.peek() {
-                    if top.deliver_at_us > now {
-                        break;
-                    }
-                    let p = q.pop().unwrap();
-                    self.inboxes[p.to.idx()].push(p.msg);
-                    delivered_any = true;
-                }
-            }
-            if !delivered_any {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
+            pump: Mutex::new(Some(pump)),
+        })
     }
 
     pub fn set_base_delay_us(&self, us: u64) {
@@ -177,19 +195,29 @@ impl DelayedBus {
 
     /// Send a message to one partition (delivered after the configured delay).
     pub fn send(&self, from: PartitionId, to: PartitionId, msg: BusMessage) {
-        let deliver_at = now_us() + self.delay_for(from);
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.queue.lock().push(Pending {
-            deliver_at_us: deliver_at,
+        let deliver_at_us = now_us() + self.delay_for(from);
+        let mut in_flight = self.core.in_flight.lock();
+        let new_head = in_flight
+            .heap
+            .peek()
+            .is_none_or(|head| deliver_at_us < head.deliver_at_us);
+        let seq = in_flight.seq;
+        in_flight.seq += 1;
+        in_flight.heap.push(Pending {
+            deliver_at_us,
             to,
             msg,
             seq,
         });
+        drop(in_flight);
+        if new_head {
+            self.core.pump_wake.notify_one();
+        }
     }
 
     /// Broadcast to every partition except the sender.
     pub fn broadcast(&self, from: PartitionId, msg: BusMessage) {
-        for p in 0..self.inboxes.len() {
+        for p in 0..self.core.inboxes.len() {
             if p != from.idx() {
                 self.send(from, PartitionId(p as u32), msg.clone());
             }
@@ -198,21 +226,27 @@ impl DelayedBus {
 
     /// Drain all messages currently available for a partition.
     pub fn drain(&self, me: PartitionId) -> Vec<BusMessage> {
-        let mut out = Vec::new();
-        while let Some(m) = self.inboxes[me.idx()].try_pop() {
-            out.push(m);
-        }
-        out
+        self.recv_until(me, 0)
     }
 
-    /// Blocking receive with timeout for coordinator threads.
-    pub fn recv_timeout(&self, me: PartitionId, timeout: Duration) -> Option<BusMessage> {
-        self.inboxes[me.idx()].pop_timeout(timeout)
+    /// Parked receive: everything delivered to `me`, waiting first until
+    /// there is mail, [`DelayedBus::wake`] is called for `me`, or the
+    /// `now_us` instant `deadline_us` passes (then possibly empty).
+    pub fn recv_until(&self, me: PartitionId, deadline_us: u64) -> Vec<BusMessage> {
+        self.core.inboxes[me.idx()].take_until(deadline_us)
     }
 
-    /// Stop the pump thread. Called on cluster shutdown.
+    /// Make `me`'s current or next parked receive return at once.
+    pub fn wake(&self, me: PartitionId) {
+        self.core.inboxes[me.idx()].wake();
+    }
+
+    /// Stop the pump thread. Called on cluster shutdown and on drop.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Set under the lock: the pump checks the flag and parks under it,
+        // so it either sees the flag or is parked when the notify lands.
+        self.core.in_flight.lock().stopped = true;
+        self.core.pump_wake.notify_one();
         if let Some(h) = self.pump.lock().take() {
             let _ = h.join();
         }
@@ -221,16 +255,14 @@ impl DelayedBus {
 
 impl Drop for DelayedBus {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn message_is_delivered_after_delay() {
@@ -291,11 +323,88 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_none_when_idle() {
+    fn recv_until_returns_empty_at_the_deadline_when_idle() {
         let bus = DelayedBus::new(1, 0);
-        assert!(bus
-            .recv_timeout(PartitionId(0), Duration::from_millis(5))
-            .is_none());
+        let deadline = now_us() + 5_000;
+        assert!(bus.recv_until(PartitionId(0), deadline).is_empty());
+        assert!(now_us() >= deadline);
         bus.shutdown();
+    }
+
+    #[test]
+    fn delayed_message_wakes_a_parked_receiver_on_time() {
+        // The pump parks until the message is due and the receiver parks
+        // until mail: delivery lands at the 2 ms delay, not a poll tick
+        // later. The upper slack absorbs timer and scheduler noise on a
+        // small shared host.
+        let bus = DelayedBus::new(2, 2_000);
+        let sent_at = now_us();
+        bus.send(
+            PartitionId(0),
+            PartitionId(1),
+            BusMessage::EpochPrepare { epoch: 1 },
+        );
+        let got = bus.recv_until(PartitionId(1), sent_at + 1_000_000);
+        let waited = now_us() - sent_at;
+        assert_eq!(got, vec![BusMessage::EpochPrepare { epoch: 1 }]);
+        assert!(waited >= 2_000, "delivered early, after {waited} us");
+        assert!(waited <= 3_500, "delivered late, after {waited} us");
+        bus.shutdown();
+    }
+
+    #[test]
+    fn an_earlier_message_overtakes_a_parked_pump() {
+        // The pump is parked on a message due in 1 s; a later send due in
+        // 1 ms must wake it rather than wait behind the head.
+        let bus = DelayedBus::new(2, 0);
+        bus.set_extra_delay_from(PartitionId(0), 1_000_000);
+        bus.send(
+            PartitionId(0),
+            PartitionId(1),
+            BusMessage::EpochPrepare { epoch: 1 },
+        );
+        std::thread::sleep(Duration::from_millis(2));
+        let sent_at = now_us();
+        bus.send(
+            PartitionId(1),
+            PartitionId(0),
+            BusMessage::EpochPrepare { epoch: 2 },
+        );
+        let got = bus.recv_until(PartitionId(0), sent_at + 1_000_000);
+        assert_eq!(got, vec![BusMessage::EpochPrepare { epoch: 2 }]);
+        assert!(now_us() - sent_at < 100_000);
+        bus.shutdown();
+    }
+
+    #[test]
+    fn wake_interrupts_a_parked_receive() {
+        let bus = DelayedBus::new(1, 0);
+        bus.wake(PartitionId(0));
+        let start = Instant::now();
+        assert!(bus.recv_until(PartitionId(0), u64::MAX).is_empty());
+        assert!(start.elapsed() < Duration::from_millis(50));
+        bus.shutdown();
+    }
+
+    #[test]
+    fn shutdown_and_drop_stop_a_parked_pump_promptly() {
+        // A message due in 10 s parks the pump for 10 s; both exits must
+        // wake it instead of waiting that out.
+        for drop_it in [false, true] {
+            let bus = DelayedBus::new(2, 10_000_000);
+            bus.send(
+                PartitionId(0),
+                PartitionId(1),
+                BusMessage::EpochPrepare { epoch: 1 },
+            );
+            std::thread::sleep(Duration::from_millis(2));
+            let start = Instant::now();
+            if drop_it {
+                drop(bus);
+            } else {
+                bus.shutdown();
+            }
+            assert!(start.elapsed() < Duration::from_millis(50));
+        }
     }
 }

@@ -26,11 +26,12 @@
 
 use crate::cluster::Cluster;
 use primo_common::config::CommitMode;
+use primo_common::sim_time::{now_us, sleep_until_us};
 use primo_common::{AbortReason, PartitionId, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::LogPayload;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The atomic-commit layer's metrics (cluster-lifetime).
 pub mod metrics {
@@ -278,10 +279,20 @@ impl PaxosCommit {
     ) -> PrepareOutcome {
         for (p, lsn) in vote_lsns {
             let log = &cluster.partition(*p).log;
-            let deadline = Instant::now()
-                + Duration::from_micros(4 * log.quorum_ack_delay_us().max(1_000) + 10_000);
-            while !log.is_durable(*lsn) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
+            let ack_us = log.quorum_ack_delay_us();
+            let deadline = now_us() + 4 * ack_us.max(1_000) + 10_000;
+            // Park until the vote's quorum-durable instant — its append
+            // instant plus the quorum-ack delay — then re-check. A replica
+            // set short of a healthy quorum can push durability past that
+            // instant; later re-checks come one (at least 1 ms) ack delay
+            // apart, until the deadline.
+            let mut wake_at = log
+                .full_view()
+                .rfind_map(|e| (e.lsn == *lsn).then_some(e.appended_at_us + ack_us))
+                .unwrap_or(deadline);
+            while !log.is_durable(*lsn) && now_us() < deadline {
+                sleep_until_us(wake_at.min(deadline));
+                wake_at = now_us() + ack_us.max(1_000);
             }
             if log.is_durable(*lsn) {
                 cluster.recorder.emit(
@@ -483,6 +494,7 @@ impl AtomicCommit for PaxosCommit {
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
+    use std::time::Duration;
 
     fn decision(log: &primo_wal::ReplicatedLog, txn: TxnId) -> Option<bool> {
         log.durable_view(None).rfind_map(|e| match *e.payload {

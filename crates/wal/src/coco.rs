@@ -22,7 +22,6 @@ use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
 use primo_common::{FastRng, PartitionId, Ts, TxnId};
-use primo_net::DelayedBus;
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,8 +56,6 @@ struct EpochState {
 pub struct CocoCommit {
     cfg: WalConfig,
     num_partitions: usize,
-    #[allow(dead_code)]
-    bus: Arc<DelayedBus>,
     /// Current execution epoch.
     epoch: AtomicU64,
     state: Mutex<EpochState>,
@@ -94,18 +91,12 @@ impl std::fmt::Debug for CocoCommit {
 }
 
 impl CocoCommit {
-    pub fn new(
-        num_partitions: usize,
-        cfg: WalConfig,
-        bus: Arc<DelayedBus>,
-        wals: Vec<Arc<ReplicatedLog>>,
-    ) -> Arc<Self> {
+    pub fn new(num_partitions: usize, cfg: WalConfig, wals: Vec<Arc<ReplicatedLog>>) -> Arc<Self> {
         assert_eq!(wals.len(), num_partitions);
         let ack_delay_us = crate::max_quorum_ack_delay_us(&wals, cfg.persist_delay_us);
         let gc = Arc::new(CocoCommit {
             cfg,
             num_partitions,
-            bus,
             wals,
             seq_ts: SeqTsSource::new(),
             ack_delay_us,
@@ -444,7 +435,6 @@ mod tests {
     use primo_common::config::LoggingScheme;
 
     fn make(interval_ms: u64) -> Arc<CocoCommit> {
-        let bus = DelayedBus::new(2, 0);
         let cfg = WalConfig {
             scheme: LoggingScheme::CocoEpoch,
             interval_ms,
@@ -452,7 +442,7 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        CocoCommit::new(2, cfg, bus, crate::build_logs(2, cfg))
+        CocoCommit::new(2, cfg, crate::build_logs(2, cfg))
     }
 
     fn tid(seq: u64) -> TxnId {
@@ -503,7 +493,6 @@ mod tests {
 
     #[test]
     fn committed_epochs_seal_a_boundary_in_every_log() {
-        let bus = DelayedBus::new(2, 0);
         let cfg = WalConfig {
             scheme: LoggingScheme::CocoEpoch,
             interval_ms: 2,
@@ -512,7 +501,7 @@ mod tests {
             ..WalConfig::default()
         };
         let wals = crate::build_logs(2, cfg);
-        let gc = CocoCommit::new(2, cfg, bus, wals.clone());
+        let gc = CocoCommit::new(2, cfg, wals.clone());
         let ticket = gc.begin_txn(PartitionId(0), tid(1));
         let waiter = gc.txn_committed(&ticket, 1, 1);
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);

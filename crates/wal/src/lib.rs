@@ -68,7 +68,7 @@ pub fn build_group_commit(
 ) -> Arc<dyn GroupCommit> {
     match cfg.scheme {
         LoggingScheme::Watermark => Arc::new(WatermarkCommit::new(num_partitions, cfg, bus, logs)),
-        LoggingScheme::CocoEpoch => coco::CocoCommit::new(num_partitions, cfg, bus, logs),
+        LoggingScheme::CocoEpoch => coco::CocoCommit::new(num_partitions, cfg, logs),
         LoggingScheme::Clv => Arc::new(clv::ClvCommit::new(num_partitions, cfg, logs)),
         LoggingScheme::SyncPerTxn => Arc::new(sync::SyncCommit::new(num_partitions, cfg, logs)),
     }

@@ -2,9 +2,9 @@
 //!
 //! Each partition leader runs a lightweight agent that
 //!
-//! 1. every `t_m` generates a partition watermark `Wp` — the minimum logical
-//!    timestamp (or lower bound `lts`) of the transactions still active on
-//!    that partition (rule R1);
+//! 1. at every multiple of `t_m` on the process clock generates a partition
+//!    watermark `Wp` — the minimum logical timestamp (or lower bound `lts`)
+//!    of the transactions still active on that partition (rule R1);
 //! 2. publishes `Wp` only after the simulated log-persist/replication delay,
 //!    so `Wp` never claims durability it does not have;
 //! 3. receives other partitions' watermarks over the (delayed, asynchronous)
@@ -18,6 +18,12 @@
 //!
 //! The force-update mechanism (§5.1) keeps a lagging partition's watermark
 //! close to the cluster average so that it does not detain `Wg` (Fig 13b).
+//!
+//! The agents never poll. Each parks until the earliest of the next grid
+//! boundary, its oldest generated-but-unpublished `Wp` becoming durable, or
+//! mail on the bus, and recomputes `Wg` in the same wake-up. Generating on
+//! one shared grid keeps every partition's `Wp` in phase: a transaction then
+//! waits for one generation, not for the later of several drifting ones.
 
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::log::{LogPayload, ReplayBound};
@@ -33,10 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How often each agent drains the bus and re-evaluates `Wg`, independent of
-/// the (much larger) watermark generation interval `t_m`.
-const AGENT_TICK_US: u64 = 500;
 
 #[derive(Debug, Default)]
 struct WgState {
@@ -59,8 +61,6 @@ struct PartitionWm {
     wp_published: AtomicU64,
     /// Additional floor pushed by the force-update mechanism.
     force_floor: AtomicU64,
-    /// Generated watermarks waiting for the persist delay before publication.
-    pending_publish: Mutex<VecDeque<(u64, Ts)>>,
     /// Highest logical timestamp this partition has seen being committed —
     /// lets an idle partition's watermark jump straight past everything it
     /// has already processed instead of creeping one tick at a time.
@@ -70,8 +70,6 @@ struct PartitionWm {
     /// Global-watermark view and crash-rollback bookkeeping.
     wg: Mutex<WgState>,
     wg_cond: Condvar,
-    /// Time of the last watermark generation.
-    last_generate_us: AtomicU64,
 }
 
 impl PartitionWm {
@@ -83,11 +81,9 @@ impl PartitionWm {
             wp_published: AtomicU64::new(0),
             force_floor: AtomicU64::new(0),
             max_seen_ts: AtomicU64::new(0),
-            pending_publish: Mutex::new(VecDeque::new()),
             table: Mutex::new(vec![0; n]),
             wg: Mutex::new(WgState::default()),
             wg_cond: Condvar::new(),
-            last_generate_us: AtomicU64::new(0),
         }
     }
 
@@ -226,15 +222,22 @@ fn agent_loop(
     stop: Arc<AtomicBool>,
     recorder: Arc<OnceLock<Arc<FlightRecorder>>>,
 ) {
-    let interval_us = cfg.interval_ms * 1000;
-    while !stop.load(Ordering::Relaxed) {
+    // `t_m = 0` cannot be a grid period; it means "as often as the
+    // millisecond setting allows".
+    let grid_us = cfg.interval_ms.max(1) * 1000;
+    let next_boundary = |now: u64| (now / grid_us + 1) * grid_us;
+    let mut next_generate_us = next_boundary(now_us());
+    // Generated watermarks waiting for their log record to become durable:
+    // (publishable at, Wp), oldest first.
+    let mut pending_publish: VecDeque<(u64, Ts)> = VecDeque::new();
+    let mut mail = Vec::new();
+    while !stop.load(Ordering::Acquire) {
         let now = now_us();
 
-        // 1. Drain control messages and update the watermark table.
-        let msgs = bus.drain(me.id);
-        if !msgs.is_empty() {
+        // 1. Apply control messages to the watermark table.
+        if !mail.is_empty() {
             let mut table = me.table.lock();
-            for m in msgs {
+            for m in mail.drain(..) {
                 if let BusMessage::PartitionWatermark { from, wp } = m {
                     let slot = &mut table[from.idx()];
                     if *slot < wp {
@@ -244,21 +247,9 @@ fn agent_loop(
             }
         }
 
-        // 2. Recompute this partition's view of the global watermark.
-        {
-            let table = me.table.lock();
-            let min = table.iter().copied().min().unwrap_or(0);
-            drop(table);
-            let mut wg = me.wg.lock();
-            if min > wg.wg {
-                wg.wg = min;
-                me.wg_cond.notify_all();
-            }
-        }
-
-        // 3. Generate a new partition watermark every t_m.
-        if now.saturating_sub(me.last_generate_us.load(Ordering::Relaxed)) >= interval_us {
-            me.last_generate_us.store(now, Ordering::Relaxed);
+        // 2. Generate a new partition watermark at each t_m grid boundary.
+        if now >= next_generate_us {
+            next_generate_us = next_boundary(now);
             let prev = me.wp_generated.load(Ordering::Acquire);
             // Cluster average for the force-update rule, computed before the
             // active-table lock so the two locks never nest.
@@ -321,39 +312,54 @@ fn agent_loop(
             // commit latency. The pipelined append changes none of this:
             // follower copies inherit the sequencer's append timestamp, so
             // quorum durability elapses on the same clock whether the pump
-            // has shipped the record yet or not.
-            me.pending_publish
-                .lock()
-                .push_back((now + wal.quorum_ack_delay_us(), candidate));
+            // has shipped the record yet or not. The clock is read after the
+            // candidate was chosen, so every entry it covers was appended
+            // before that instant.
+            pending_publish.push_back((now_us() + wal.quorum_ack_delay_us(), candidate));
         }
 
-        // 4. Publish watermarks whose persist delay has elapsed.
-        {
-            let mut pending = me.pending_publish.lock();
-            while let Some((ready_at, wp)) = pending.front().copied() {
-                if ready_at > now {
-                    break;
-                }
-                pending.pop_front();
-                if wp > me.wp_published.load(Ordering::Acquire) {
-                    me.wp_published.store(wp, Ordering::Release);
-                    me.table.lock()[me.id.idx()] = wp;
-                    // The watermark is itself a log record (§5.1): append it
-                    // so a recovering leader can retrieve the latest Wp.
-                    wal.append(LogPayload::Watermark { wp });
-                    bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
-                    if let Some(rec) = recorder.get() {
-                        rec.emit(
-                            None,
-                            Some(me.id),
-                            TraceEventKind::WatermarkPublish { wg: wp },
-                        );
-                    }
+        // 3. Publish watermarks whose persist delay has elapsed (by a fresh
+        // clock reading: with no persist delay, one generated just now).
+        while let Some((ready_at, wp)) = pending_publish.front().copied() {
+            if ready_at > now_us() {
+                break;
+            }
+            pending_publish.pop_front();
+            if wp > me.wp_published.load(Ordering::Acquire) {
+                me.wp_published.store(wp, Ordering::Release);
+                me.table.lock()[me.id.idx()] = wp;
+                // The watermark is itself a log record (§5.1): append it so a
+                // recovering leader can retrieve the latest Wp.
+                wal.append(LogPayload::Watermark { wp });
+                bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
+                if let Some(rec) = recorder.get() {
+                    rec.emit(
+                        None,
+                        Some(me.id),
+                        TraceEventKind::WatermarkPublish { wg: wp },
+                    );
                 }
             }
         }
 
-        std::thread::sleep(Duration::from_micros(AGENT_TICK_US));
+        // 4. Recompute this partition's view of the global watermark — in
+        // the same wake-up that applied mail or published.
+        {
+            let min = me.table.lock().iter().copied().min().unwrap_or(0);
+            let mut wg = me.wg.lock();
+            if min > wg.wg {
+                wg.wg = min;
+                me.wg_cond.notify_all();
+            }
+        }
+
+        // 5. Park until the next grid boundary, the next publication or mail.
+        let wake_at = pending_publish
+            .front()
+            .map_or(next_generate_us, |(ready_at, _)| {
+                next_generate_us.min(*ready_at)
+            });
+        mail = bus.recv_until(me.id, wake_at);
     }
 }
 
@@ -683,7 +689,10 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
+        for p in 0..self.num_partitions {
+            self.bus.wake(PartitionId(p as u32));
+        }
         let mut agents = self.agents.lock();
         for h in agents.drain(..) {
             let _ = h.join();
@@ -903,6 +912,35 @@ mod tests {
         // freshly committed (but not yet watermark-covered) timestamp.
         assert_eq!(wm.snapshot_horizon(PartitionId(0)), 500_000);
         assert!(wm.global_watermark(PartitionId(0)) < 500_000);
+        wm.shutdown();
+    }
+
+    #[test]
+    fn idle_agents_shut_down_promptly() {
+        // With t_m = 1 s every agent is parked until the next grid boundary;
+        // shutdown must wake them rather than wait it out.
+        let (wm, _bus) = make(2, 1000);
+        std::thread::sleep(Duration::from_millis(5));
+        let start = std::time::Instant::now();
+        wm.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_millis(50),
+            "shutdown took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn zero_interval_generates_on_a_one_millisecond_grid() {
+        // Checked before any wait: an agent that died on a zero period would
+        // leave `wait_durable` blocked forever.
+        let (wm, _bus) = make(2, 0);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(wm.global_watermark(PartitionId(1)) > 0);
+        let ticket = wm.begin_txn(PartitionId(0), tid(1));
+        let ts = wm.reserve_commit_ts(&ticket, 0);
+        let waiter = wm.txn_committed(&ticket, ts, 1);
+        assert_eq!(wm.wait_durable(&waiter), CommitOutcome::Committed);
         wm.shutdown();
     }
 

@@ -4,10 +4,18 @@
 //! `Primo` facade.
 
 use primo_repro::common::config::{LoggingScheme, WalConfig};
+use primo_repro::common::sim_time::{now_us, sleep_until_us};
 use primo_repro::net::DelayedBus;
-use primo_repro::wal::{CommitOutcome, GroupCommit, WatermarkCommit};
-use primo_repro::{PartitionId, Primo, TableId, TxnId, Value};
-use std::time::Duration;
+use primo_repro::wal::{CommitOutcome, CommitWaiter, GroupCommit, WatermarkCommit};
+use primo_repro::{FlightRecorder, PartitionId, Primo, TableId, TraceEventKind, TxnId, Value};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The `wm` helper's publication path: the log's quorum-ack delay (a
+/// single copy persisting in 100 µs) plus the 50 µs bus delay.
+const PUBLISH_PATH_US: u64 = 150;
+/// Slack for wake-ups and scheduling on a small shared host.
+const SLACK_US: u64 = 3_000;
 
 fn wm(n: usize, interval_ms: u64) -> WatermarkCommit {
     let bus = DelayedBus::new(n, 50);
@@ -132,6 +140,89 @@ fn ts_floor_prevents_new_transactions_below_the_watermark() {
     assert_eq!(wm.wait_durable(&waiter), CommitOutcome::Committed);
     assert!(
         wm.global_watermark(PartitionId(0)) > ts || wm.partition_watermark(PartitionId(0)) > ts
+    );
+    wm.shutdown();
+}
+
+#[test]
+fn partitions_publish_each_generation_in_the_same_grid_slot() {
+    // Every partition generates at the multiples of t_m on the one process
+    // clock, so one generation's `Wp`s all publish in the same t_m slot,
+    // early in it (one quorum-ack delay past the boundary). A per-partition
+    // `now - last >= t_m` schedule drifts and lands anywhere in the slot.
+    const T_M_US: u64 = 20_000;
+    let wm = wm(2, 20);
+    let recorder = Arc::new(FlightRecorder::new(true, 1024));
+    wm.set_recorder(Arc::clone(&recorder));
+    let from_us = now_us();
+    std::thread::sleep(Duration::from_millis(200));
+    let until_us = now_us();
+    wm.shutdown();
+    // Only slots entirely inside the recorded window.
+    let slots = |p: u32| -> Vec<u64> {
+        recorder
+            .merge()
+            .for_partition(PartitionId(p))
+            .of_kind(|k| matches!(k, TraceEventKind::WatermarkPublish { .. }))
+            .events()
+            .iter()
+            .filter(|e| e.at_us / T_M_US * T_M_US > from_us)
+            .filter(|e| (e.at_us / T_M_US + 1) * T_M_US < until_us)
+            .map(|e| {
+                let offset = e.at_us % T_M_US;
+                assert!(
+                    offset < T_M_US / 2,
+                    "P{p} published {offset} us into its slot"
+                );
+                e.at_us / T_M_US
+            })
+            .collect()
+    };
+    let (p0, p1) = (slots(0), slots(1));
+    assert!(p0.len() >= 5, "too few generations observed: {p0:?}");
+    assert_eq!(p0, p1, "the partitions published in different slots");
+}
+
+/// Commit one transaction coordinated by P0 with P1 as participant.
+fn commit_on_both(wm: &WatermarkCommit, seq: u64) -> CommitWaiter {
+    let ticket = wm.begin_txn(PartitionId(0), TxnId::new(PartitionId(0), seq));
+    wm.add_participant(&ticket, PartitionId(1), 0);
+    let ts = wm.reserve_commit_ts(&ticket, 0);
+    wm.txn_committed(&ticket, ts, 1)
+}
+
+#[test]
+fn commit_wait_is_at_most_one_generation_plus_the_publication_path() {
+    // A commit waits for the next grid boundary, then one quorum-ack delay
+    // and one bus hop — nothing for polling or for partitions out of phase.
+    // Commits start at 20 phases spread across the slot, so the median wait
+    // is about half a slot.
+    const T_M_US: u64 = 20_000;
+    let wm = wm(2, 20);
+    let mut waits = Vec::new();
+    for i in 0..20u64 {
+        let boundary = (now_us() / T_M_US + 1) * T_M_US;
+        sleep_until_us(boundary + 500 + i * T_M_US / 20);
+        let measured = commit_on_both(&wm, 2 * i + 1);
+        let committed_at = Instant::now();
+        // The watermark chases the highest timestamp a partition has
+        // processed, and a commit at exactly that timestamp waits one more
+        // generation. A later commit behind it — as steady traffic always
+        // has — lets the next generation cover it.
+        let _later = commit_on_both(&wm, 2 * i + 2);
+        assert_eq!(wm.wait_durable(&measured), CommitOutcome::Committed);
+        let waited = committed_at.elapsed().as_micros() as u64;
+        assert!(
+            waited <= T_M_US + PUBLISH_PATH_US + SLACK_US,
+            "commit {i} waited {waited} us"
+        );
+        waits.push(waited);
+    }
+    waits.sort_unstable();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median <= T_M_US / 2 + PUBLISH_PATH_US + SLACK_US,
+        "median commit wait {median} us (all: {waits:?})"
     );
     wm.shutdown();
 }
