@@ -131,7 +131,7 @@ fn bench_contended_append() {
     }
 
     for threads in [1u64, 4, 16] {
-        let old = OldFanout::rf3();
+        let old = OldFanout::new(3);
         contended(
             &format!("wal/contended_append_rf3_t{threads}_old"),
             threads,

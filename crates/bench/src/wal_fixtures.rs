@@ -38,17 +38,18 @@ pub fn write_payload(seq: u64) -> LogPayload {
 
 /// The pre-pipeline append shape: one lock held across the whole replica
 /// fan-out, every appender paying one `append_in_term` per replica (exactly
-/// the old `ReplicatedLog::append` body), at replication factor 3.
+/// the old `ReplicatedLog::append` body). With one replica it is the old
+/// direct single-copy append.
 pub struct OldFanout {
     lock: std::sync::Mutex<()>,
     replicas: Vec<PartitionWal>,
 }
 
 impl OldFanout {
-    pub fn rf3() -> Self {
+    pub fn new(rf: usize) -> Self {
         OldFanout {
             lock: std::sync::Mutex::new(()),
-            replicas: (0..3)
+            replicas: (0..rf)
                 .map(|i| PartitionWal::new(PartitionId(0), if i == 0 { 100 } else { 700 }))
                 .collect(),
         }

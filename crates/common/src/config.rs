@@ -168,10 +168,6 @@ pub struct NetConfig {
     pub one_way_us: u64,
     /// Uniform jitter added to each message, in microseconds.
     pub jitter_us: u64,
-    /// Extra delay applied to *watermark/epoch* messages only (Fig 13a), in
-    /// microseconds, per destination partition (applied uniformly here; the
-    /// experiment driver can override per partition at runtime).
-    pub control_msg_extra_us: u64,
 }
 
 impl Default for NetConfig {
@@ -180,7 +176,6 @@ impl Default for NetConfig {
             // ~200 us RTT: same order as the paper's 16 Gbps Ethernet cluster.
             one_way_us: 100,
             jitter_us: 10,
-            control_msg_extra_us: 0,
         }
     }
 }
@@ -231,10 +226,6 @@ impl Default for WalConfig {
 /// Primo-specific knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrimoConfig {
-    /// Fall back to 2PC for read-heavy workloads (§4.3). When `Some(r)`, a
-    /// distributed transaction whose declared read ratio exceeds `r` uses the
-    /// 2PC path instead of WCF.
-    pub read_heavy_fallback: Option<f64>,
     /// Use snapshot reads (no locks) for transactions declared read-only.
     pub read_only_snapshot: bool,
     /// Version-chain depth per record (current + history), `>= 1`. Small by
@@ -245,7 +236,6 @@ pub struct PrimoConfig {
 impl Default for PrimoConfig {
     fn default() -> Self {
         PrimoConfig {
-            read_heavy_fallback: None,
             read_only_snapshot: true,
             max_versions: 4,
         }
@@ -295,8 +285,6 @@ pub struct ClusterConfig {
     pub backoff_initial_us: u64,
     /// Upper bound on the exponential back-off, microseconds.
     pub backoff_max_us: u64,
-    /// Aria batch size (transactions per partition per batch).
-    pub aria_batch_size: usize,
     /// Batch the remote reads of an attempt into one parallel fan-out
     /// (footprint-hinted or learned from the previous attempt) instead of a
     /// round trip per record. Purely a network-accounting optimization — the
@@ -321,7 +309,6 @@ impl Default for ClusterConfig {
             commit_mode: CommitMode::default(),
             backoff_initial_us: 500,
             backoff_max_us: 8_000,
-            aria_batch_size: 32,
             batch_remote_reads: true,
             seed: 0x5EED,
         }
@@ -338,7 +325,6 @@ impl ClusterConfig {
             net: NetConfig {
                 one_way_us: 5,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             wal: WalConfig {
                 scheme: LoggingScheme::Watermark,
@@ -359,7 +345,6 @@ impl ClusterConfig {
             commit_mode: CommitMode::default(),
             backoff_initial_us: 20,
             backoff_max_us: 500,
-            aria_batch_size: 8,
             batch_remote_reads: true,
             seed: 0x5EED,
         }

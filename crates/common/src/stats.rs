@@ -515,7 +515,8 @@ pub mod txn {
         COMMITTED: CounterDef("txn.committed", "txns");
         /// Aborted attempts, for any reason.
         ABORTED: CounterDef("txn.aborted", "attempts");
-        /// Transactions abandoned for good (user aborts, missing keys).
+        /// Transactions abandoned for good: user aborts, missing keys, or
+        /// an attempt budget that ran out.
         ABANDONED: CounterDef("txn.abandoned", "txns");
         /// Committed transactions that touched more than one partition.
         DIST_COMMITTED: CounterDef("txn.dist_committed", "txns");

@@ -313,7 +313,6 @@ mod tests {
             NetConfig {
                 one_way_us,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             0x5EED,
         )
@@ -324,7 +323,6 @@ mod tests {
         let cfg = NetConfig {
             one_way_us: 0,
             jitter_us: 1_000_000,
-            control_msg_extra_us: 0,
         };
         let mut rng = primo_common::FastRng::new(1);
         // Different seeds sample different jitter …

@@ -366,7 +366,6 @@ mod tests {
             NetConfig {
                 one_way_us: 0,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             1,
         )

@@ -146,7 +146,7 @@ impl Cluster {
         let net = Arc::new(SimNetwork::new(n, config.net, config.seed));
         // Control messages (watermarks / epochs) travel one-way over the bus;
         // give them the same base latency as a data message.
-        let bus = DelayedBus::new(n, config.net.one_way_us + config.net.control_msg_extra_us);
+        let bus = DelayedBus::new(n, config.net.one_way_us);
         // The replicated durable logs exist before the group-commit scheme:
         // watermark agents log their published `Wp` and COCO seals epoch
         // boundaries into them, which is what bounds recovery replay. Each

@@ -2,9 +2,10 @@
 //! experiment driver.
 //!
 //! The runtime is protocol-agnostic. A [`Protocol`]
-//! implements one *attempt* of a transaction; the [`worker`] loop supplies
-//! retries with exponential back-off, ties the attempt to the group-commit
-//! scheme and records metrics; the [`experiment`] driver assembles a cluster,
+//! implements one *attempt* of a transaction; the [`worker`] driver, shared
+//! by worker threads and sessions, supplies retries with exponential
+//! back-off, ties the attempt to the group-commit scheme and records
+//! metrics; the [`experiment`] driver assembles a cluster,
 //! loads a workload, runs workers for a fixed duration and returns a
 //! [`primo_common::MetricsSnapshot`].
 

@@ -3,7 +3,8 @@
 //! A protocol implements exactly one *attempt* of a transaction: execute the
 //! program, acquire whatever locks / validation it needs, and either install
 //! the write-set (returning the commit information) or abort. Retries,
-//! back-off, group commit and metrics are the worker loop's job, so every
+//! back-off, group commit and metrics are the transaction driver's job
+//! ([`crate::worker`], shared by worker threads and sessions), so every
 //! protocol is measured under identical conditions — the same methodology the
 //! paper uses by implementing all competitors in one framework.
 

@@ -1,16 +1,19 @@
-//! The worker loop: generate → attempt → (back-off & retry) → group commit →
-//! record metrics.
+//! The one transaction driver, shared by the benchmark worker loop and every
+//! `Session` transaction ([`run_single_txn`]): snapshot dispatch → attempt
+//! (→ back-off & retry) → group commit → metrics.
 //!
 //! Mirrors the paper's DBx1000 setup (§6.1.3): each partition leader runs a
 //! fixed number of worker threads; an aborted transaction backs off
 //! exponentially starting at 0.5 ms and is retried with the *same* TID (so
-//! WAIT_DIE priorities age and starvation is avoided).
+//! WAIT_DIE priorities age and starvation is avoided) — unless a crash
+//! aborted it (see ARCHITECTURE.md, "Transaction driver").
 
 use crate::cluster::Cluster;
 use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::Protocol;
-use crate::txn::Workload;
-use primo_common::sim_time::charge_latency_us;
+use crate::snapshot::{execute_snapshot, snapshot_reads_enabled, SnapshotOutcome};
+use crate::txn::{TxnProgram, Workload};
+use primo_common::sim_time::{charge_latency_us, now_us, sleep_until_us};
 use primo_common::stats::txn;
 use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers};
 use primo_trace::TraceEventKind;
@@ -38,164 +41,120 @@ struct PendingCommit {
     committed_at: Instant,
     timers: PhaseTimers,
     distributed: bool,
+    attempts: usize,
 }
 
-/// Everything a worker thread needs.
-pub struct WorkerContext {
-    pub cluster: Arc<Cluster>,
-    pub protocol: Arc<dyn Protocol>,
-    pub workload: Arc<dyn Workload>,
-    pub metrics: Arc<Metrics>,
-    pub home: PartitionId,
-    pub worker_idx: u32,
-    pub stop: Arc<AtomicBool>,
-    pub recording: Arc<AtomicBool>,
+/// What one [`Driver::run`] call came to.
+enum Driven {
+    /// Final without a group-commit wait. `Ok(attempts)`: a snapshot read
+    /// (one attempt) or a commit by a protocol that manages its own
+    /// durability. `Err(reason)`: abandoned — a program-level abort, or the
+    /// last abort once `MAX_ATTEMPTS` ran out.
+    Done(Result<usize, AbortReason>),
+    /// Installed; the group commit decides.
+    Installed(PendingCommit),
+    /// The run's stop flag rose before an attempt.
+    Stopped,
 }
 
-/// Resolve (without blocking) every pending transaction whose group-commit
-/// outcome is now known.
-fn drain_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
-    while let Some(front) = pending.front() {
-        match ctx.cluster.group_commit.try_outcome(&front.waiter) {
-            Some(outcome) => {
-                let mut done = pending.pop_front().unwrap();
-                done.timers.add(Phase::Return, done.committed_at.elapsed());
-                ctx.cluster.recorder.emit(
-                    Some(done.waiter.txn),
-                    Some(done.waiter.coordinator),
-                    TraceEventKind::GroupCommitRelease {
-                        committed: matches!(outcome, CommitOutcome::Committed),
-                    },
-                );
-                if ctx.recording.load(Ordering::Relaxed) {
-                    match outcome {
-                        CommitOutcome::Committed => {
-                            let latency_us = done.started.elapsed().as_micros() as u64;
-                            ctx.metrics
-                                .record_commit(latency_us, &done.timers, done.distributed);
-                        }
-                        CommitOutcome::CrashAborted => {
-                            ctx.metrics.record_abort(AbortReason::CrashAbort);
-                        }
-                    }
-                }
-            }
-            None => break,
-        }
+/// Runs transactions on one cluster and protocol. Worker threads pass their
+/// run-scoped registry (recording while the measurement window is open) and
+/// the run's stop flag; a `Session` passes neither.
+struct Driver<'a> {
+    cluster: &'a Cluster,
+    protocol: &'a dyn Protocol,
+    metrics: Option<(&'a Metrics, &'a AtomicBool)>,
+    stop: Option<&'a AtomicBool>,
+}
+
+impl Driver<'_> {
+    fn recording(&self) -> Option<&Metrics> {
+        self.metrics
+            .and_then(|(metrics, on)| on.load(Ordering::Relaxed).then_some(metrics))
     }
-}
 
-/// Block on the oldest pending transaction (back-pressure when the group
-/// commit falls far behind execution).
-fn block_on_oldest(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
-    if let Some(mut oldest) = pending.pop_front() {
-        let outcome = ctx.cluster.group_commit.wait_durable(&oldest.waiter);
-        oldest
-            .timers
-            .add(Phase::Return, oldest.committed_at.elapsed());
-        ctx.cluster.recorder.emit(
-            Some(oldest.waiter.txn),
-            Some(oldest.waiter.coordinator),
-            TraceEventKind::GroupCommitRelease {
-                committed: matches!(outcome, CommitOutcome::Committed),
-            },
-        );
-        if ctx.recording.load(Ordering::Relaxed) {
-            match outcome {
-                CommitOutcome::Committed => {
-                    let latency_us = oldest.started.elapsed().as_micros() as u64;
-                    ctx.metrics
-                        .record_commit(latency_us, &oldest.timers, oldest.distributed);
-                }
-                CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
-            }
-        }
+    fn stopped(&self) -> bool {
+        self.stop.is_some_and(|stop| stop.load(Ordering::Relaxed))
     }
-}
 
-/// Run the worker loop until the stop flag is raised.
-pub fn worker_loop(ctx: WorkerContext) {
-    let mut rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
-    let backoff_initial = ctx.cluster.config.backoff_initial_us;
-    let backoff_max = ctx.cluster.config.backoff_max_us;
-    let mut pending: VecDeque<PendingCommit> = VecDeque::new();
-
-    while !ctx.stop.load(Ordering::Relaxed) {
-        // Report results of transactions whose group commit finished while we
-        // were executing newer ones.
-        drain_pending(&ctx, &mut pending);
-        if pending.len() >= MAX_PENDING_COMMITS {
-            block_on_oldest(&ctx, &mut pending);
-        }
-
-        // COCO-style schemes may briefly forbid starting new transactions.
-        ctx.cluster.group_commit.execution_gate(ctx.home);
-        if ctx.stop.load(Ordering::Relaxed) {
-            break;
-        }
-
-        let program = ctx.workload.generate(&mut rng, ctx.home);
-        let mut timers = PhaseTimers::new();
+    /// Drive `program` until it is installed, abandoned or stopped.
+    ///
+    /// Declared read-only programs are served from the MVCC snapshot at the
+    /// durable group-commit horizon: no ticket, no locks, no validation, no
+    /// group-commit wait. An unanswerable read (the bounded chain outran the
+    /// horizon) falls back to the protocol path. Every attempt's `begin_txn`
+    /// waits at the group commit's execution gate (COCO closes it while it
+    /// seals an epoch).
+    ///
+    /// A conflict retry keeps its TxnId, so WAIT_DIE priorities age. A retry
+    /// after a crash-class abort takes a fresh one: a coordinator crash under
+    /// classic 2PC leaves the orphan's locks held, and `RecordLock::acquire`
+    /// is re-entrant by TxnId, so a retry under the orphan's id would walk
+    /// through them and commit over it; a crash-aborted attempt may also have
+    /// logged its write-set, which replay's dedup-by-transaction would merge
+    /// with the retry's.
+    fn run(&self, program: &dyn TxnProgram, rng: &mut FastRng) -> Driven {
+        let cluster = self.cluster;
         let started = Instant::now();
-
-        // Declared read-only transactions are served from the MVCC snapshot
-        // at the durable group-commit horizon: no ticket, no locks, no
-        // validation, no group-commit wait — the result is final the moment
-        // execution ends. An unanswerable read (bounded chain outran the
-        // horizon) falls back to the protocol path below.
-        if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
-            let done = timers.time(Phase::Execute, || {
-                match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
-                    crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
-                    crate::snapshot::SnapshotOutcome::Fallback => None,
-                }
-            });
-            if let Some(result) = done {
-                if ctx.recording.load(Ordering::Relaxed) {
-                    match result {
-                        Ok(()) => {
-                            let latency_us = started.elapsed().as_micros() as u64;
+        let mut timers = PhaseTimers::new();
+        if program.is_read_only() && snapshot_reads_enabled(cluster) {
+            let outcome = timers.time(Phase::Execute, || execute_snapshot(cluster, program));
+            if let SnapshotOutcome::Done(result) = outcome {
+                return match result {
+                    Ok(()) => {
+                        if let Some(metrics) = self.recording() {
                             // Snapshot reads pay no remote round trips and
-                            // never enter the protocol path, so they stay
-                            // out of the distributed-latency histogram.
-                            ctx.metrics.record_commit(latency_us, &timers, false);
-                            ctx.metrics.inc(&txn::SNAPSHOT_READS);
+                            // never enter the protocol path, so they stay out
+                            // of the distributed-latency histogram.
+                            let latency_us = started.elapsed().as_micros() as u64;
+                            metrics.record_commit(latency_us, &timers, false);
+                            metrics.inc(&txn::SNAPSHOT_READS);
                         }
-                        Err(e) => {
-                            // Program-level abort (e.g. NotFound at the
-                            // snapshot): final, never retried.
-                            ctx.metrics.record_abort(e.reason());
-                            ctx.metrics.inc(&txn::ABANDONED);
-                        }
+                        Driven::Done(Ok(1))
                     }
-                }
-                continue;
+                    Err(e) => {
+                        if let Some(metrics) = self.recording() {
+                            metrics.record_abort(e.reason());
+                        }
+                        self.abandon(e.reason())
+                    }
+                };
             }
         }
 
-        let txn = ctx.cluster.next_txn_id(ctx.home);
-        let mut backoff_us = backoff_initial;
-        let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
-
+        let home = program.home_partition();
+        let slowdown = cluster.partition(home).slowdown_us();
         // The remote-read plan: the program's static hint for the first
         // attempt, then each aborted attempt's observed access set for the
         // retry (reconnaissance-style), so even hint-less programs converge
         // to one batched fan-out per attempt.
-        let batching = ctx.cluster.config.batch_remote_reads;
+        let batching = cluster.config.batch_remote_reads;
         let mut plan = if batching {
-            Footprint::from_keys(ctx.home, program.read_hint())
+            Footprint::from_keys(home, program.read_hint())
         } else {
             Footprint::default()
         };
-
-        let mut attempts = 0;
-        'attempts: while attempts < MAX_ATTEMPTS && !ctx.stop.load(Ordering::Relaxed) {
-            attempts += 1;
-            ctx.cluster.recorder.emit(
+        let mut txn = cluster.next_txn_id(home);
+        let mut backoff_us = cluster.config.backoff_initial_us;
+        let mut last = AbortReason::LockConflict;
+        for attempt in 1..=MAX_ATTEMPTS {
+            if attempt > 1 {
+                // Jittered exponential back-off (paper: 0.5 ms initial,
+                // doubling): b/2 + U[0, b/2].
+                timers.time(Phase::Backoff, || {
+                    let jitter = rng.next_below(backoff_us.max(1) / 2 + 1);
+                    sleep_until_us(now_us() + backoff_us / 2 + jitter);
+                });
+                backoff_us = (backoff_us * 2).min(cluster.config.backoff_max_us);
+            }
+            if self.stopped() {
+                return Driven::Stopped;
+            }
+            cluster.recorder.emit(
                 Some(txn),
-                Some(ctx.home),
+                Some(home),
                 TraceEventKind::Begin {
-                    attempt: attempts as u32,
+                    attempt: attempt as u32,
                 },
             );
             if slowdown > 0 {
@@ -203,92 +162,140 @@ pub fn worker_loop(ctx: WorkerContext) {
                 // attempt, charged as execution time.
                 timers.time(Phase::Execute, || charge_latency_us(slowdown));
             }
-            let ticket = ctx.cluster.group_commit.begin_txn(ctx.home, txn);
+            let ticket = cluster.group_commit.begin_txn(home, txn);
             let mut fanout = ReadFanout::empty();
             if batching && !plan.is_empty() {
-                timers.time(Phase::Execute, || {
-                    fanout.resolve(&ctx.cluster, ctx.home, txn, &plan)
-                });
+                timers.time(Phase::Execute, || fanout.resolve(cluster, home, txn, &plan));
             }
-            let result = ctx.protocol.execute_once(
-                &ctx.cluster,
-                txn,
-                program.as_ref(),
-                &ticket,
-                &mut timers,
-                &fanout,
-            );
-            match result {
+            match self
+                .protocol
+                .execute_once(cluster, txn, program, &ticket, &mut timers, &fanout)
+            {
                 Ok(commit) => {
-                    let waiter = ctx
-                        .cluster
+                    let waiter = cluster
                         .group_commit
                         .txn_committed(&ticket, commit.ts, commit.ops);
-                    ctx.cluster.recorder.emit(
+                    cluster.recorder.emit(
                         Some(txn),
-                        Some(ctx.home),
+                        Some(home),
                         TraceEventKind::Committed { ts: commit.ts },
                     );
-                    if ctx.protocol.manages_durability() {
-                        if ctx.recording.load(Ordering::Relaxed) {
-                            let latency_us = started.elapsed().as_micros() as u64;
-                            ctx.metrics
-                                .record_commit(latency_us, &timers, commit.distributed);
-                        }
-                    } else {
-                        // The client keeps waiting for the watermark / epoch;
-                        // the worker moves on to the next transaction.
-                        pending.push_back(PendingCommit {
-                            waiter,
-                            started,
-                            committed_at: Instant::now(),
-                            timers: std::mem::take(&mut timers),
-                            distributed: commit.distributed,
-                        });
+                    let done = PendingCommit {
+                        waiter,
+                        started,
+                        committed_at: Instant::now(),
+                        timers,
+                        distributed: commit.distributed,
+                        attempts: attempt,
+                    };
+                    if !self.protocol.manages_durability() {
+                        return Driven::Installed(done);
                     }
-                    break 'attempts;
+                    self.release(done, CommitOutcome::Committed);
+                    return Driven::Done(Ok(attempt));
                 }
                 Err(e) => {
-                    ctx.cluster.group_commit.txn_aborted(&ticket);
-                    let reason = e.reason();
-                    ctx.cluster.recorder.emit(
+                    cluster.group_commit.txn_aborted(&ticket);
+                    last = e.reason();
+                    cluster.recorder.emit(
                         Some(txn),
-                        Some(ctx.home),
-                        TraceEventKind::Abort { reason },
+                        Some(home),
+                        TraceEventKind::Abort { reason: last },
                     );
-                    if ctx.recording.load(Ordering::Relaxed) {
-                        ctx.metrics.record_abort(reason);
+                    if let Some(metrics) = self.recording() {
+                        metrics.record_abort(last);
                     }
-                    if !reason.is_retryable() {
-                        if ctx.recording.load(Ordering::Relaxed) {
-                            ctx.metrics.inc(&txn::ABANDONED);
-                        }
-                        break 'attempts;
+                    if !last.is_retryable() {
+                        return self.abandon(last);
                     }
                     if batching {
-                        // Learn the aborted attempt's remote footprint as the
-                        // retry's prefetch plan.
-                        let learned = fanout.learned(ctx.home);
+                        let learned = fanout.learned(home);
                         if !learned.is_empty() {
                             plan = learned;
                         }
                     }
+                    if last.is_crash() {
+                        txn = cluster.next_txn_id(home);
+                    }
                 }
             }
-            // Exponential back-off before the next attempt (paper: 0.5 ms
-            // initial, doubling).
-            timers.time(Phase::Backoff, || {
-                let jitter = rng.next_below(backoff_us.max(1) / 2 + 1);
-                charge_latency_us(backoff_us / 2 + jitter);
-            });
-            backoff_us = (backoff_us * 2).min(backoff_max);
+        }
+        self.abandon(last)
+    }
+
+    fn abandon(&self, reason: AbortReason) -> Driven {
+        if let Some(metrics) = self.recording() {
+            metrics.inc(&txn::ABANDONED);
+        }
+        Driven::Done(Err(reason))
+    }
+
+    /// The outcome step: release an installed transaction with the group
+    /// commit's verdict and record it. Returns whether it committed.
+    fn release(&self, mut done: PendingCommit, outcome: CommitOutcome) -> bool {
+        let committed = outcome == CommitOutcome::Committed;
+        done.timers.add(Phase::Return, done.committed_at.elapsed());
+        self.cluster.recorder.emit(
+            Some(done.waiter.txn),
+            Some(done.waiter.coordinator),
+            TraceEventKind::GroupCommitRelease { committed },
+        );
+        if let Some(metrics) = self.recording() {
+            if committed {
+                let latency_us = done.started.elapsed().as_micros() as u64;
+                metrics.record_commit(latency_us, &done.timers, done.distributed);
+            } else {
+                metrics.record_abort(AbortReason::CrashAbort);
+            }
+        }
+        committed
+    }
+
+    /// Release (without blocking) every pending transaction whose
+    /// group-commit outcome is now known.
+    fn drain(&self, pending: &mut VecDeque<PendingCommit>) {
+        while let Some(outcome) = pending
+            .front()
+            .and_then(|done| self.cluster.group_commit.try_outcome(&done.waiter))
+        {
+            self.release(pending.pop_front().unwrap(), outcome);
+        }
+    }
+}
+
+/// Run one worker thread until the stop flag is raised.
+fn worker_loop(driver: &Driver<'_>, workload: &dyn Workload, home: PartitionId, worker_idx: u32) {
+    let mut rng = FastRng::for_worker(home.0, worker_idx, 0xAB5);
+    let mut pending: VecDeque<PendingCommit> = VecDeque::new();
+    while !driver.stopped() {
+        // Report results of transactions whose group commit finished while we
+        // were executing newer ones.
+        driver.drain(&mut pending);
+        if pending.len() >= MAX_PENDING_COMMITS {
+            // Back-pressure: the group commit fell far behind execution.
+            let oldest = pending.pop_front().unwrap();
+            let outcome = driver.cluster.group_commit.wait_durable(&oldest.waiter);
+            driver.release(oldest, outcome);
+        }
+        // COCO-style schemes may briefly forbid starting new transactions.
+        driver.cluster.group_commit.execution_gate(home);
+        if driver.stopped() {
+            break;
+        }
+        let program = workload.generate(&mut rng, home);
+        match driver.run(program.as_ref(), &mut rng) {
+            // The client keeps waiting for the watermark / epoch; the worker
+            // moves on to the next transaction.
+            Driven::Installed(done) => pending.push_back(done),
+            Driven::Done(_) => {}
+            Driven::Stopped => break,
         }
     }
 
     // Resolve whatever is still in flight so late commits are counted.
     let deadline = Instant::now() + Duration::from_millis(200);
     while !pending.is_empty() && Instant::now() < deadline {
-        drain_pending(&ctx, &mut pending);
+        driver.drain(&mut pending);
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -305,20 +312,26 @@ pub fn spawn_workers(
     let mut handles = Vec::new();
     for p in 0..cluster.num_partitions() {
         for w in 0..cluster.config.workers_per_partition {
-            let ctx = WorkerContext {
-                cluster: Arc::clone(cluster),
-                protocol: Arc::clone(protocol),
-                workload: Arc::clone(workload),
-                metrics: Arc::clone(metrics),
-                home: PartitionId(p as u32),
-                worker_idx: w as u32,
-                stop: Arc::clone(stop),
-                recording: Arc::clone(recording),
+            let (cluster, protocol, workload) = (
+                Arc::clone(cluster),
+                Arc::clone(protocol),
+                Arc::clone(workload),
+            );
+            let (metrics, stop, recording) =
+                (Arc::clone(metrics), Arc::clone(stop), Arc::clone(recording));
+            let worker = move || {
+                let driver = Driver {
+                    cluster: &cluster,
+                    protocol: protocol.as_ref(),
+                    metrics: Some((&metrics, &recording)),
+                    stop: Some(&stop),
+                };
+                worker_loop(&driver, workload.as_ref(), PartitionId(p as u32), w as u32);
             };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("worker-{p}-{w}"))
-                    .spawn(move || worker_loop(ctx))
+                    .spawn(worker)
                     .expect("spawn worker"),
             );
         }
@@ -326,84 +339,38 @@ pub fn spawn_workers(
     handles
 }
 
-/// Helper used by tests and examples: run a single transaction to completion
-/// (with retries) outside the throughput-measurement machinery. Returns the
-/// number of attempts on success.
-///
-/// Every attempt runs under a **fresh** transaction id. A crash-aborted
-/// attempt has already logged a `TxnWrites` entry per partition (and may
-/// have been sealed with a `TxnRolledBack` marker by compensation); reusing
-/// its id for the retry would let replay's dedup-by-transaction merge the
-/// rolled-back and the committed attempt — and a marker would cancel both.
+/// Run a single transaction to completion outside the throughput-measurement
+/// machinery (the `Session` path, tests and examples): the same driver as a
+/// worker, then a blocking wait for the group commit. Returns the
+/// number of attempts on success. An install the group commit crash-aborts
+/// runs again as a new transaction, under a fresh TxnId.
 pub fn run_single_txn(
     cluster: &Arc<Cluster>,
     protocol: &dyn Protocol,
-    program: &dyn crate::txn::TxnProgram,
+    program: &dyn TxnProgram,
 ) -> Result<usize, AbortReason> {
-    let home = program.home_partition();
-    // The same snapshot dispatch the worker loop uses: a declared read-only
-    // program resolves at the durable horizon unless a read is unanswerable.
-    if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(cluster) {
-        match crate::snapshot::execute_snapshot(cluster, program) {
-            crate::snapshot::SnapshotOutcome::Done(Ok(())) => return Ok(1),
-            crate::snapshot::SnapshotOutcome::Done(Err(e)) => return Err(e.reason()),
-            crate::snapshot::SnapshotOutcome::Fallback => {}
-        }
-    }
-    let mut attempts = 0;
-    let mut backoff_us = cluster.config.backoff_initial_us;
-    // When MAX_ATTEMPTS runs out, report what actually aborted the last
-    // attempt rather than a blanket LockConflict.
-    let mut last_reason = AbortReason::LockConflict;
-    // Same prefetch plan lifecycle as the worker loop: static hint first,
-    // then the aborted attempt's learned footprint.
-    let batching = cluster.config.batch_remote_reads;
-    let mut plan = if batching {
-        Footprint::from_keys(home, program.read_hint())
-    } else {
-        Footprint::default()
+    let driver = Driver {
+        cluster,
+        protocol,
+        metrics: None,
+        stop: None,
     };
+    // The jitter only spreads competing sessions apart; nothing depends on
+    // its values.
+    let mut rng = FastRng::new(cluster.config.seed ^ now_us());
+    let mut attempts = 0;
     loop {
-        attempts += 1;
-        if attempts > MAX_ATTEMPTS {
-            return Err(last_reason);
-        }
-        let txn = cluster.next_txn_id(home);
-        let ticket = cluster.group_commit.begin_txn(home, txn);
-        let mut timers = PhaseTimers::new();
-        let mut fanout = ReadFanout::empty();
-        if batching && !plan.is_empty() {
-            timers.time(Phase::Execute, || fanout.resolve(cluster, home, txn, &plan));
-        }
-        match protocol.execute_once(cluster, txn, program, &ticket, &mut timers, &fanout) {
-            Ok(commit) => {
-                let waiter = cluster
-                    .group_commit
-                    .txn_committed(&ticket, commit.ts, commit.ops);
-                if protocol.manages_durability() {
+        match driver.run(program, &mut rng) {
+            Driven::Done(result) => return result.map(|n| attempts + n),
+            Driven::Installed(done) => {
+                attempts += done.attempts;
+                let outcome = cluster.group_commit.wait_durable(&done.waiter);
+                if driver.release(done, outcome) {
                     return Ok(attempts);
                 }
-                match cluster.group_commit.wait_durable(&waiter) {
-                    CommitOutcome::Committed => return Ok(attempts),
-                    CommitOutcome::CrashAborted => last_reason = AbortReason::CrashAbort,
-                }
             }
-            Err(e) => {
-                cluster.group_commit.txn_aborted(&ticket);
-                if !e.reason().is_retryable() {
-                    return Err(e.reason());
-                }
-                last_reason = e.reason();
-                if batching {
-                    let learned = fanout.learned(home);
-                    if !learned.is_empty() {
-                        plan = learned;
-                    }
-                }
-            }
+            Driven::Stopped => unreachable!("a session has no stop flag"),
         }
-        std::thread::sleep(Duration::from_micros(backoff_us));
-        backoff_us = (backoff_us * 2).min(cluster.config.backoff_max_us);
     }
 }
 
@@ -411,10 +378,12 @@ pub fn run_single_txn(
 mod tests {
     use super::*;
     use crate::access::WriteEntry;
+    use crate::experiment::{run_on_cluster, ExperimentOptions};
     use crate::protocol::CommittedTxn;
-    use crate::txn::{IncrementProgram, TxnProgram};
+    use crate::txn::IncrementProgram;
     use primo_common::config::{ClusterConfig, LoggingScheme};
     use primo_common::{TableId, TxnError, TxnId, Value};
+    use primo_storage::PartitionStore;
     use primo_wal::{ReplayBound, TxnTicket};
 
     /// Stub protocol: every attempt logs one insert write-set (like a real
@@ -527,6 +496,141 @@ mod tests {
         };
         let err = run_single_txn(&cluster, &AlwaysValidationAbort, &prog).unwrap_err();
         assert_eq!(err, AbortReason::Validation, "not a blanket LockConflict");
+        cluster.shutdown();
+    }
+
+    /// A `Session` transaction runs the same lifecycle as a worker's: its
+    /// trace shows the attempt, the install and the group-commit release.
+    #[test]
+    fn session_transactions_trace_begin_commit_and_release() {
+        let cluster = Cluster::new(ClusterConfig::for_tests(1));
+        let prog = IncrementProgram {
+            home: PartitionId(0),
+            accesses: vec![],
+        };
+        run_single_txn(&cluster, &LoggingProtocol, &prog).unwrap();
+        let lifecycle: Vec<TraceEventKind> = cluster
+            .recorder
+            .merge()
+            .of_kind(|k| {
+                matches!(
+                    k,
+                    TraceEventKind::Begin { .. }
+                        | TraceEventKind::Committed { .. }
+                        | TraceEventKind::GroupCommitRelease { .. }
+                )
+            })
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert!(
+            matches!(
+                lifecycle[..],
+                [
+                    TraceEventKind::Begin { attempt: 1 },
+                    TraceEventKind::Committed { .. },
+                    TraceEventKind::GroupCommitRelease { committed: true },
+                ]
+            ),
+            "lifecycle {lifecycle:?}"
+        );
+        cluster.shutdown();
+    }
+
+    /// Generates empty increments — enough to drive a worker through a
+    /// stub protocol.
+    struct EmptyIncrements;
+
+    impl Workload for EmptyIncrements {
+        fn name(&self) -> &'static str {
+            "empty-increments"
+        }
+        fn load_partition(&self, _store: &PartitionStore, _partition: PartitionId) {}
+        fn generate(&self, _rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+            Box::new(IncrementProgram {
+                home,
+                accesses: vec![],
+            })
+        }
+    }
+
+    /// A worker transaction that runs out of attempts is abandoned, not
+    /// silently dropped from the metrics.
+    #[test]
+    fn exhausted_worker_transactions_count_as_abandoned() {
+        let mut config = ClusterConfig::for_tests(1);
+        config.workers_per_partition = 1;
+        config.backoff_initial_us = 1;
+        config.backoff_max_us = 1;
+        let cluster = Cluster::new(config);
+        let snap = run_on_cluster(
+            &cluster,
+            Arc::new(AlwaysValidationAbort),
+            Arc::new(EmptyIncrements),
+            &ExperimentOptions {
+                warmup: Duration::ZERO,
+                duration: Duration::from_millis(400),
+                ..ExperimentOptions::default()
+            },
+        );
+        assert_eq!(snap.committed, 0);
+        assert!(
+            snap.get(&txn::ABANDONED) > 0,
+            "exhausted transactions must count as abandoned"
+        );
+        cluster.shutdown();
+    }
+
+    /// Stub protocol that commits at once and records the epoch each
+    /// attempt began in.
+    #[derive(Default)]
+    struct EpochProbe(parking_lot::Mutex<Vec<u64>>);
+
+    impl Protocol for EpochProbe {
+        fn name(&self) -> &'static str {
+            "epoch-probe"
+        }
+        fn execute_once(
+            &self,
+            cluster: &Cluster,
+            _txn: TxnId,
+            _program: &dyn TxnProgram,
+            ticket: &TxnTicket,
+            _timers: &mut primo_common::PhaseTimers,
+            _fanout: &ReadFanout,
+        ) -> primo_common::TxnResult<CommittedTxn> {
+            self.0.lock().push(ticket.epoch);
+            Ok(CommittedTxn {
+                ts: cluster.group_commit.finalize_commit_ts(ticket, 0),
+                ops: 1,
+                distributed: false,
+            })
+        }
+    }
+
+    /// Under COCO a `Session` transaction passes the execution gate like a
+    /// worker's: it may not begin inside an epoch that is being sealed.
+    #[test]
+    fn session_transactions_wait_at_the_coco_gate() {
+        let mut config = ClusterConfig::for_tests(1);
+        config.wal.scheme = LoggingScheme::CocoEpoch;
+        config.wal.interval_ms = 20;
+        let cluster = Cluster::new(config);
+        // A scheme-level crash aborts the current epoch and closes the gate
+        // until the coordinator's next boundary.
+        let aborted = cluster.group_commit.on_partition_crash(PartitionId(0));
+        let probe = EpochProbe::default();
+        let prog = IncrementProgram {
+            home: PartitionId(0),
+            accesses: vec![],
+        };
+        assert_eq!(run_single_txn(&cluster, &probe, &prog), Ok(1));
+        let first = probe.0.lock()[0];
+        assert!(
+            first > aborted,
+            "began in epoch {first}, inside the closed epoch {aborted}"
+        );
         cluster.shutdown();
     }
 }

@@ -19,7 +19,7 @@ use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, SeqTsSource,
 use crate::log::{LogPayload, LogView, ReplayBound};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use primo_common::config::WalConfig;
 use primo_common::{FastRng, PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
@@ -137,6 +137,16 @@ impl CocoCommit {
         self.state.lock().committed
     }
 
+    /// The epoch state, locked once the execution gate is open (or the
+    /// coordinator stopped).
+    fn open_state(&self) -> MutexGuard<'_, EpochState> {
+        let mut st = self.state.lock();
+        while !st.gate_open && !self.stop.load(Ordering::Relaxed) {
+            self.cond.wait_for(&mut st, Duration::from_millis(1));
+        }
+        st
+    }
+
     fn coordinator_loop(self: &Arc<Self>) {
         let mut rng = FastRng::new(0xC0C0);
         let epoch_us = self.cfg.interval_ms * 1000;
@@ -194,6 +204,19 @@ impl CocoCommit {
                 }
             }
             sync_us += straggle;
+            // Seal the epoch in every partition's log before the wait: all
+            // TxnWrites entries appended before this marker belong to the
+            // epoch or earlier ones (transactions append their write-set
+            // before reporting `txn_committed`, the drain in step 3 waited
+            // for them, and `begin_txn` keeps new ones out until step 5). `sync_us` covers the quorum-ack delay, so the markers
+            // are quorum-durable by the time step 5 commits the epoch —
+            // recovery never finds a committed epoch without its boundary. A
+            // crash during the wait leaves the marker of an aborted epoch,
+            // which every bound skips: each looks up the newest boundary of
+            // an epoch at most the last committed one.
+            for wal in &self.wals {
+                wal.append(LogPayload::EpochBoundary { epoch });
+            }
             std::thread::sleep(Duration::from_micros(sync_us));
 
             // 5. Commit (or abort) the epoch and reopen the gate.
@@ -208,15 +231,6 @@ impl CocoCommit {
                     // The epoch's commits are quorum-durable and sealed:
                     // the snapshot horizon may advance over them.
                     self.tracker.release_epochs_through(epoch);
-                    // Seal the epoch in every partition's log: all TxnWrites
-                    // entries appended before this marker belong to committed
-                    // epochs, which is exactly the replay bound recovery
-                    // uses. (Workers append their write-set before reporting
-                    // `txn_committed`, and the drain in step 3 waited for
-                    // them, so the ordering holds.)
-                    for wal in &self.wals {
-                        wal.append(LogPayload::EpochBoundary { epoch });
-                    }
                     if let Some(rec) = self.recorder.get() {
                         rec.emit(None, None, TraceEventKind::EpochSealed { epoch });
                     }
@@ -247,7 +261,11 @@ fn epoch_boundary(view: &LogView<'_>, max_epoch: u64) -> Option<u64> {
 
 impl GroupCommit for CocoCommit {
     fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> Arc<TxnTicket> {
-        let mut st = self.state.lock();
+        // Every attempt — a retry too — begins behind the gate, under the
+        // lock that counts it active: one that joined an epoch being sealed
+        // after the step-3 drain would log behind the epoch's boundary, yet
+        // release with the epoch.
+        let mut st = self.open_state();
         let epoch = self.epoch.load(Ordering::Acquire);
         *st.active.entry(epoch).or_insert(0) += 1;
         drop(st);
@@ -321,10 +339,7 @@ impl GroupCommit for CocoCommit {
     }
 
     fn execution_gate(&self, _partition: PartitionId) {
-        let mut st = self.state.lock();
-        while !st.gate_open && !self.stop.load(Ordering::Relaxed) {
-            self.cond.wait_for(&mut st, Duration::from_millis(1));
-        }
+        drop(self.open_state());
     }
 
     fn ts_floor(&self, _partition: PartitionId) -> Ts {
@@ -559,6 +574,118 @@ mod tests {
         assert!(committed_before < ticket.epoch || committed_before == 0);
         let waiter = gc.txn_committed(&ticket, 1, 1);
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);
+        gc.shutdown();
+    }
+
+    /// The `EpochBoundary` of `epoch` in `view`, if present.
+    fn marker_of(view: &LogView<'_>, epoch: u64) -> Option<u64> {
+        view.rfind_map(|e| match *e.payload {
+            LogPayload::EpochBoundary { epoch: sealed } if sealed == epoch => Some(e.lsn),
+            _ => None,
+        })
+    }
+
+    /// A committed epoch's boundary is quorum-durable in every log the
+    /// moment the epoch counts as committed — never an instant later.
+    #[test]
+    fn committed_epochs_are_quorum_durable_when_they_commit() {
+        let cfg = WalConfig {
+            scheme: LoggingScheme::CocoEpoch,
+            interval_ms: 1,
+            persist_delay_us: 2_000,
+            force_update: false,
+            replication_factor: 3,
+            ..WalConfig::default()
+        };
+        let wals = crate::build_logs(2, cfg);
+        let gc = CocoCommit::new(2, cfg, wals.clone());
+        let mut seen = gc.committed_epoch();
+        for _ in 0..3 {
+            let committed = loop {
+                let now = gc.committed_epoch();
+                if now > seen {
+                    break now;
+                }
+                std::hint::spin_loop();
+            };
+            for wal in &wals {
+                assert!(
+                    marker_of(&wal.durable_view(None), committed).is_some(),
+                    "epoch {committed} committed before its boundary was quorum-durable"
+                );
+            }
+            seen = committed;
+        }
+        gc.shutdown();
+    }
+
+    /// A crash while the coordinator waits out the synchronous exchange
+    /// leaves the marker of an epoch that then aborts. No bound may count
+    /// that epoch's write-sets as committed.
+    #[test]
+    fn an_aborted_epochs_marker_never_commits_its_write_sets() {
+        // Slow acks stretch the exchange (step 4) to >= 30 ms, so the crash
+        // lands inside it, and the next epoch cannot commit for another 30.
+        let cfg = WalConfig {
+            scheme: LoggingScheme::CocoEpoch,
+            interval_ms: 2,
+            persist_delay_us: 30_000,
+            force_update: false,
+            ..WalConfig::default()
+        };
+        let wals = crate::build_logs(1, cfg);
+        let wal = &wals[0];
+        let gc = CocoCommit::new(1, cfg, wals.clone());
+        let p = PartitionId(0);
+        // Start after a committed epoch, so every bound has a real boundary
+        // to stop at.
+        while gc.committed_epoch() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let ticket = gc.begin_txn(p, tid(1));
+        let epoch = ticket.epoch;
+        let writes = wal.append(LogPayload::TxnWrites {
+            txn: tid(1),
+            ts: 1,
+            writes: vec![crate::LoggedWrite::put(
+                primo_common::TableId(0),
+                1,
+                primo_common::Value::from_u64(1),
+            )],
+        });
+        let waiter = gc.txn_committed(&ticket, 1, 1);
+        let marker = loop {
+            if let Some(lsn) = marker_of(&wal.full_view(), epoch) {
+                break lsn;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        };
+        assert!(marker > writes);
+        assert_eq!(gc.on_partition_crash(p), epoch, "the sealing epoch aborts");
+        assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);
+        while gc.current_epoch() == epoch {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert!(
+            wal.is_durable(marker),
+            "the aborted epoch's marker is durable"
+        );
+        assert!(gc.committed_epoch() < epoch);
+        let entry = wal.full_view().entries()[writes as usize].clone();
+        for (name, bound) in [
+            ("replay", gc.replay_bound(epoch, wal, None)),
+            ("survivor rollback", gc.survivor_rollback_bound(epoch, wal)),
+            ("checkpoint", gc.checkpoint_bound(p, wal)),
+        ] {
+            assert!(
+                !bound.covers(1, entry.lsn, entry.appended_at_us, cfg.persist_delay_us),
+                "the {name} bound {bound:?} counts the aborted epoch's write-set"
+            );
+        }
+        assert!(
+            gc.committed_epoch() < epoch,
+            "the checks raced the next commit"
+        );
         gc.shutdown();
     }
 }

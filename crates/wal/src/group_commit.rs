@@ -134,7 +134,8 @@ pub struct CommitWaiter {
 
 /// A distributed group-commit / durability scheme.
 pub trait GroupCommit: Send + Sync {
-    /// Register a new transaction starting on `coord`.
+    /// Register a new transaction attempt starting on `coord`. Blocks while
+    /// the [`GroupCommit::execution_gate`] is closed.
     fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> Arc<TxnTicket>;
 
     /// Report the transaction's logical timestamp (or a lower bound `lts`).

@@ -313,32 +313,20 @@ impl PartitionWal {
         self.append_in_term(0, Arc::new(payload))
     }
 
-    /// [`PartitionWal::append`] stamped with the replicated log's current
-    /// leadership term. Takes the payload behind an `Arc` so a replicated
-    /// fan-out appends the same allocation to every replica instead of
-    /// deep-cloning the write-set per copy.
+    /// [`PartitionWal::append`] stamped with a leadership term. Takes the
+    /// payload behind an `Arc` so a fan-out can append the same allocation
+    /// to every replica instead of deep-cloning the write-set per copy.
     pub fn append_in_term(&self, term: u64, payload: Arc<LogPayload>) -> u64 {
-        self.append_entry_in_term(term, payload).lsn
-    }
-
-    /// [`PartitionWal::append_in_term`], returning the full entry (LSN,
-    /// append timestamp, term) instead of just the LSN. The replicated
-    /// log's sequencer stages this exact entry for the replication pump, so
-    /// follower copies later receive the **same** `appended_at_us` — their
-    /// durability clocks run from the original append instant, not from
-    /// when the pump happened to drain.
-    pub fn append_entry_in_term(&self, term: u64, payload: Arc<LogPayload>) -> LogEntry {
         let mut inner = self.folded();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let entry = LogEntry {
+        inner.entries.push(LogEntry {
             lsn,
             appended_at_us: now_us(),
             term,
             payload,
-        };
-        inner.entries.push(entry.clone());
-        entry
+        });
+        lsn
     }
 
     /// Receive one replication segment: O(1) — the segment `Arc` is shared

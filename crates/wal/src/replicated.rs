@@ -25,8 +25,8 @@
 //!   quorum math below is independent of when the pump ran. Every durable
 //!   read and every replica-set mutation drains the ring first, so the
 //!   pipeline is invisible outside this module (see ARCHITECTURE.md,
-//!   "Append pipeline"). A single-copy log (RF 1) skips the pipeline and
-//!   appends synchronously, exactly like the old `PartitionWal`.
+//!   "Append pipeline"). A single-copy log (RF 1) runs the same pipeline
+//!   with one replica.
 //! * **Quorum durability.** `append` returns an LSN immediately, but
 //!   [`ReplicatedLog::durable_lsn`] is the **quorum-acked** LSN: the highest
 //!   LSN persisted by a majority of replicas (the median replica for RF 3).
@@ -81,7 +81,7 @@ const INLINE_VOTES: usize = 16;
 /// Quorum-durable replicated log of one partition. See the module docs.
 pub struct ReplicatedLog {
     core: Arc<LogCore>,
-    /// Stage-2 drainer; `None` for single-copy logs (nothing to replicate).
+    /// Stage-2 drainer (an `Option` only so `Drop` can take it to join).
     pump: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -117,8 +117,6 @@ struct LogCore {
     /// the pump swaps the vector out wholesale and ships it as one shared
     /// segment. One lock covers sequencing and staging, so the commit
     /// critical section pays a single acquisition and no per-replica work.
-    /// (A single-copy log skips staging and appends straight to its one
-    /// replica under this same lock.)
     ring: Mutex<Sequencer>,
     /// Wakes the pump for shutdown only — appends never signal it (see
     /// [`PUMP_TICK`]).
@@ -232,14 +230,17 @@ impl ReplicatedLog {
             shipped_entries: AtomicU64::new(0),
             recorder: OnceLock::new(),
         });
-        let pump = (rf > 1).then(|| {
+        let pump = {
             let core = Arc::clone(&core);
             std::thread::Builder::new()
                 .name(format!("wal-pump-p{}", partition.0))
                 .spawn(move || core.pump_loop())
                 .expect("spawn replication pump")
-        });
-        ReplicatedLog { core, pump }
+        };
+        ReplicatedLog {
+            core,
+            pump: Some(pump),
+        }
     }
 
     /// A single-copy log (replication factor 1, no hop): the old
@@ -320,7 +321,7 @@ impl ReplicatedLog {
     /// staging ring is drained first, so the copy observed is exactly what
     /// the old synchronous fan-out would have produced.
     pub fn replica(&self, idx: usize) -> &Arc<PartitionWal> {
-        self.core.sync_replicas();
+        self.core.drain_staged();
         &self.core.replicas[idx]
     }
 
@@ -349,7 +350,7 @@ impl ReplicatedLog {
     }
 
     pub fn len(&self) -> usize {
-        self.core.sync_replicas();
+        self.core.drain_staged();
         self.core.leader_replica().len()
     }
 
@@ -397,7 +398,7 @@ impl ReplicatedLog {
     /// or not it is durable yet. Same locking rule as
     /// [`ReplicatedLog::durable_view`].
     pub fn full_view(&self) -> LogView<'_> {
-        self.core.sync_replicas();
+        self.core.drain_staged();
         self.core.leader_replica().view(Some(u64::MAX))
     }
 
@@ -560,16 +561,9 @@ impl LogCore {
         }
     }
 
-    /// Next LSN to be assigned. The sequencer counter is authoritative
-    /// while replication runs pipelined; a single-copy log delegates to its
-    /// one replica (whose appends are synchronous).
+    /// Next LSN to be assigned: the sequencer counter is authoritative.
     fn end_lsn(&self) -> u64 {
-        let seq = self.ring.lock();
-        if self.replicas.len() == 1 {
-            self.leader_replica().end_lsn()
-        } else {
-            seq.next_lsn
-        }
+        self.ring.lock().next_lsn
     }
 
     /// Stage 1: sequence one payload under the ring lock — reserve the LSN,
@@ -577,20 +571,14 @@ impl LogCore {
     /// pump later ships the staged tail to **every** copy (leader included)
     /// as one shared segment, carrying exactly this LSN, timestamp and
     /// term, so durability clocks run from this instant regardless of when
-    /// the pump ran. A single-copy log appends straight to its one replica
-    /// instead (the old `PartitionWal` fast path).
+    /// the pump ran.
     fn append(&self, payload: LogPayload) -> u64 {
         let payload = Arc::new(payload);
         let mut seq = self.lock_sequencer();
-        let term = self.term.load(Ordering::Acquire);
-        if self.replicas.len() == 1 {
-            let leader = self.leader.load(Ordering::Acquire);
-            return self.replicas[leader].append_in_term(term, payload);
-        }
         let entry = LogEntry {
             lsn: seq.next_lsn,
             appended_at_us: now_us(),
-            term,
+            term: self.term.load(Ordering::Acquire),
             payload,
         };
         seq.next_lsn += 1;
@@ -610,14 +598,6 @@ impl LogCore {
         let mut seq = self.lock_sequencer();
         let term = self.term.load(Ordering::Acquire);
         let mut first = None;
-        if self.replicas.len() == 1 {
-            let leader = self.leader.load(Ordering::Acquire);
-            for payload in payloads {
-                let lsn = self.replicas[leader].append_in_term(term, Arc::new(payload));
-                first.get_or_insert(lsn);
-            }
-            return first;
-        }
         seq.staged.reserve(payloads.len());
         for payload in payloads {
             let entry = LogEntry {
@@ -674,13 +654,11 @@ impl LogCore {
         guard
     }
 
-    /// Stage 2: drain the staging ring and ship the batch to the follower
-    /// replicas. Called by the pump and by every drain-before-read path;
-    /// `ship_lock` serializes them so batches land in LSN order.
+    /// Stage 2: drain the staging ring and ship the batch to the replicas.
+    /// Called by the pump and before every read that consults a replica
+    /// (quorum votes, durable scans, white-box replica access); `ship_lock`
+    /// serializes them so batches land in LSN order.
     fn drain_staged(&self) {
-        if self.replicas.len() == 1 {
-            return;
-        }
         let _ship = self.ship_lock.lock();
         let batch = std::mem::take(&mut self.ring.lock().staged);
         self.ship(batch);
@@ -718,15 +696,6 @@ impl LogCore {
         });
     }
 
-    /// Make every replica current before a read that consults one (quorum
-    /// votes, durable scans, white-box replica access). No-op for RF 1,
-    /// whose appends are synchronous.
-    fn sync_replicas(&self) {
-        if self.replicas.len() > 1 {
-            self.drain_staged();
-        }
-    }
-
     /// Flush the staging ring and run `f` while holding both the ship lock
     /// and the ring lock: no append can interleave and no pump drain is in
     /// flight, so `f` sees (and may mutate) a fully consistent replica set.
@@ -754,7 +723,7 @@ impl LogCore {
     /// collected and partially sorted on the stack — this runs on every
     /// watermark lookup, snapshot-horizon read and replay bound.
     fn durable_lsn(&self) -> Option<u64> {
-        self.sync_replicas();
+        self.drain_staged();
         let n = self.replicas.len();
         if n <= INLINE_VOTES {
             let mut votes = [None; INLINE_VOTES];

@@ -26,7 +26,6 @@ use crate::registry::ProtocolRegistry;
 use primo_common::config::{ClusterConfig, CommitMode, LoggingScheme, ProtocolKind};
 use primo_common::{MetricsSnapshot, PartitionId};
 use primo_runtime::experiment::{run_experiment, CrashPlan, ExperimentOptions};
-use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::Workload;
 use primo_workloads::{
     SmallbankConfig, SmallbankWorkload, TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
@@ -111,14 +110,12 @@ enum WorkloadSpec {
     /// Deferred like [`WorkloadSpec::YcsbWith`].
     TpccWith(Box<dyn FnOnce(&mut TpccConfig)>),
     Smallbank(SmallbankConfig),
-    Custom(Arc<dyn Workload>),
 }
 
 /// Fluent builder for one experiment run. See the module docs for an example.
 pub struct ExperimentBuilder {
     registry: ProtocolRegistry,
     kind: ProtocolKind,
-    protocol_override: Option<Arc<dyn Protocol>>,
     scale: Scale,
     workload: Option<WorkloadSpec>,
     logging_override: Option<LoggingScheme>,
@@ -145,7 +142,6 @@ impl ExperimentBuilder {
         ExperimentBuilder {
             registry: ProtocolRegistry::standard(),
             kind: ProtocolKind::Primo,
-            protocol_override: None,
             scale: Scale::quick(),
             workload: None,
             logging_override: None,
@@ -183,13 +179,6 @@ impl ExperimentBuilder {
             .entry_by_name(name)
             .unwrap_or_else(|| panic!("no protocol named {name:?} is registered"));
         self.kind = entry.kind;
-        self
-    }
-
-    /// Run a specific protocol instance (still paired with the logging scheme
-    /// registered for `kind`, unless [`ExperimentBuilder::logging`] overrides it).
-    pub fn protocol_impl(mut self, protocol: Arc<dyn Protocol>) -> Self {
-        self.protocol_override = Some(protocol);
         self
     }
 
@@ -259,12 +248,6 @@ impl ExperimentBuilder {
     /// Run Smallbank with an explicit configuration.
     pub fn smallbank(mut self, cfg: SmallbankConfig) -> Self {
         self.workload = Some(WorkloadSpec::Smallbank(cfg));
-        self
-    }
-
-    /// Run a custom workload implementation.
-    pub fn workload_impl(mut self, workload: Arc<dyn Workload>) -> Self {
-        self.workload = Some(WorkloadSpec::Custom(workload));
         self
     }
 
@@ -379,10 +362,7 @@ impl ExperimentBuilder {
     /// the aggregated metrics.
     pub fn run(mut self) -> MetricsSnapshot {
         let cfg = self.cluster_config();
-        let protocol = self
-            .protocol_override
-            .take()
-            .unwrap_or_else(|| self.registry.build(self.kind));
+        let protocol = self.registry.build(self.kind);
         let workload: Arc<dyn Workload> = match self
             .workload
             .take()
@@ -401,7 +381,6 @@ impl ExperimentBuilder {
                 Arc::new(TpccWorkload::new(c))
             }
             WorkloadSpec::Smallbank(c) => Arc::new(SmallbankWorkload::new(c)),
-            WorkloadSpec::Custom(w) => w,
         };
         let options = ExperimentOptions {
             warmup: Duration::from_millis(self.scale.warmup_ms),

@@ -107,7 +107,6 @@ pub struct ClusterBuilder {
     wal_interval_ms: Option<u64>,
     fast_local: bool,
     kind: ProtocolKind,
-    protocol_override: Option<Arc<dyn Protocol>>,
     registry: ProtocolRegistry,
     logging_override: Option<LoggingScheme>,
     commit_override: Option<CommitMode>,
@@ -129,7 +128,6 @@ impl ClusterBuilder {
             wal_interval_ms: None,
             fast_local: false,
             kind: ProtocolKind::Primo,
-            protocol_override: None,
             registry: ProtocolRegistry::standard(),
             logging_override: None,
             commit_override: None,
@@ -234,12 +232,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Use a specific protocol instance instead of a registry constructor.
-    pub fn protocol_impl(mut self, protocol: Arc<dyn Protocol>) -> Self {
-        self.protocol_override = Some(protocol);
-        self
-    }
-
     /// Use a custom [`ProtocolRegistry`].
     pub fn registry(mut self, registry: ProtocolRegistry) -> Self {
         self.registry = registry;
@@ -282,12 +274,9 @@ impl ClusterBuilder {
             wal_interval_ms: self.wal_interval_ms,
         }
         .assemble(self.tweaks);
-        let protocol = self
-            .protocol_override
-            .unwrap_or_else(|| self.registry.build(self.kind));
         Primo {
             cluster: Cluster::new(config),
-            protocol,
+            protocol: self.registry.build(self.kind),
             registry: self.registry,
             crash: self.crash,
         }

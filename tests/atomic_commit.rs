@@ -17,11 +17,14 @@
 
 use primo_repro::metrics::commit;
 use primo_repro::recovery::in_doubt_votes;
+use primo_repro::runtime::{run_on_cluster, ExperimentOptions};
+use primo_repro::storage::PartitionStore;
 use primo_repro::wal::LogPayload;
 use primo_repro::{
-    CommitMode, CrashPlan, Experiment, LoggingScheme, PartitionId, Primo, ProtocolKind, Scale,
-    TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
+    CommitMode, CrashPlan, Experiment, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
+    Scale, TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value, Workload,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 const T: TableId = TableId(0);
@@ -196,6 +199,79 @@ fn the_loop_catches_classic_two_pc_blocking() {
         })
         .expect("keys outside the orphan's footprint must stay available");
     assert_pairs_consistent(&primo, "classic falsification");
+    primo.shutdown();
+}
+
+/// Pair increments on random keys, for worker-driven runs.
+struct PairWorkload;
+
+impl Workload for PairWorkload {
+    fn name(&self) -> &'static str {
+        "pair-increment"
+    }
+    fn load_partition(&self, store: &PartitionStore, _partition: PartitionId) {
+        for k in 0..KEYS {
+            store.insert(T, k, Value::from_u64(0));
+        }
+    }
+    fn generate(&self, rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+        Box::new(PairIncrement {
+            home,
+            key: rng.next_below(KEYS),
+        })
+    }
+}
+
+/// The worker loop must not retry an orphan under its own TxnId: lock
+/// acquisition is re-entrant by TxnId, so such a retry would walk through
+/// the orphan's leaked locks and commit — hiding classic 2PC's blocking from
+/// every benchmark and experiment.
+#[test]
+fn workers_never_retry_an_orphan_under_its_id() {
+    let primo = Primo::builder()
+        .partitions(2)
+        .protocol(ProtocolKind::TwoPlNoWait)
+        .logging(LoggingScheme::CocoEpoch)
+        .commit_mode(CommitMode::TwoPc)
+        .fast_local()
+        .tweak(|c| c.trace.ring_capacity = 1 << 18)
+        .build();
+    for p in primo.cluster().partition_ids() {
+        PairWorkload.load_partition(&primo.cluster().partition(p).store, p);
+    }
+    run_on_cluster(
+        primo.cluster(),
+        Arc::clone(primo.protocol()),
+        Arc::new(PairWorkload),
+        &ExperimentOptions {
+            warmup: Duration::ZERO,
+            duration: Duration::from_millis(150),
+            crash: Some(CrashPlan::coordinator(
+                PartitionId(0),
+                Duration::from_millis(20),
+            )),
+            ..ExperimentOptions::default()
+        },
+    );
+    let timeline = primo.cluster().recorder.merge();
+    let crashed = timeline.of_kind(|k| matches!(k, TraceEventKind::CoordinatorCrashed));
+    let [crash] = crashed.events() else {
+        panic!(
+            "expected exactly one coordinator crash, got {}",
+            crashed.len()
+        );
+    };
+    let orphan = crash.txn.expect("the crash names its transaction");
+    let retries = timeline
+        .for_txn(orphan)
+        .of_kind(|k| matches!(k, TraceEventKind::Begin { .. }))
+        .between(crash.at_us, u64::MAX);
+    assert!(
+        retries.is_empty(),
+        "{orphan} was retried under its own id after the coordinator crash:\n{}",
+        primo.cluster().recorder.failure_report(&[orphan])
+    );
+    assert_eq!(primo.cluster().metrics.get(&commit::ORPHANED_TXNS), 1);
     primo.shutdown();
 }
 
